@@ -34,14 +34,13 @@ from .oracle import (
 )
 from .textfmt import ParseError, format_dfa, format_dot, parse_dfa
 from .witnesses import (
-    BoundKind,
-    bound_value,
     pipeline_bound,
     reversal_witness_m,
     reversal_witness_n,
     star_witness_m,
     star_witness_n,
     star_witness_n_intersection,
+    tight_bound,
     witness_pair,
 )
 
@@ -80,12 +79,7 @@ class SweepRecord:
 def measure_cell(op: CombinedOp, m: int, n: int) -> SweepRecord:
     """Measure one witness cell and compare it to the closed form."""
     dM, dN = witness_pair(op, m, n)
-    kind = (
-        BoundKind.STAR_COMBINED_TIGHT
-        if op.uses_star
-        else BoundKind.REVERSAL_COMBINED_TIGHT
-    )
-    predicted = bound_value(kind, m, n)
+    predicted = tight_bound(op, m, n)
     t0 = time.perf_counter()
     measured = state_complexity(dM, dN, op)
     elapsed = round((time.perf_counter() - t0) * 1000)
@@ -313,6 +307,7 @@ def _print_search_report(report: SearchReport, fmt: str) -> None:
                 format_dfa(report.achieving_pair[1]),
             ],
             "machines_examined": report.machines_examined,
+            "pairs_measured": report.pairs_measured,
             "predicted_bound": report.predicted_bound,
         }
         print(json.dumps(payload, indent=2))

@@ -7,12 +7,12 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Alphabet, Dfa, dfa_accepts, relabel_canonical, require_same_alphabet
-from .constructions import CombinedOp, SubsetDfa, first_component
-from .minimization import _refine, state_complexity
-from .witnesses import BoundKind, bound_value
+from .constructions import CombinedOp, first_component
+from .minimization import _refine, minimize, state_complexity
+from .witnesses import tight_bound
 
 DEFAULT_PAIR_BUDGET = 1 << 21
 DEFAULT_MACHINE_BUDGET = 1 << 21
@@ -248,8 +248,10 @@ class SearchMode:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of one worst-case search; ``machines_examined`` counts the
-    (M, N) pairs measured."""
+    """Outcome of one worst-case search.  ``machines_examined`` counts the
+    (M, N) pairs the search covers; ``pairs_measured`` counts the pairs it
+    actually built and refined, one per orbit in exhaustive mode and every
+    pair in sampled mode."""
 
     op: CombinedOp
     m: int
@@ -260,15 +262,16 @@ class SearchReport:
     achieving_pair: tuple[Dfa, Dfa]
     machines_examined: int
     predicted_bound: int
+    pairs_measured: int
 
 
-def _measured_size(first: SubsetDfa, dN: Dfa, union: bool) -> int:
-    """Minimal-DFA size of the pair machine, skipping object construction.
+def _measured_size(d1: Dfa, dN: Dfa, union: bool) -> int:
+    """Minimal-DFA size of the pair machine of ``d1`` (a first component)
+    and ``dN``, skipping object construction.
 
     The pair machine is reachable by construction, so the refined block
     count equals the minimised state count.
     """
-    d1 = first.dfa
     rows1, rows2 = d1.delta, dN.delta
     f1, f2 = d1.finals, dN.finals
     sigma = d1.sigma
@@ -295,6 +298,57 @@ def _measured_size(first: SubsetDfa, dN: Dfa, union: bool) -> int:
     return count
 
 
+def _classes(keys: Iterable[Dfa]) -> tuple[list[int], list[int], list[Dfa]]:
+    """Number equal keys by first appearance.
+
+    Returns the class of every position, the first position of each class,
+    and the distinct keys in class order.
+    """
+    number: dict[Dfa, int] = {}
+    distinct: list[Dfa] = []
+    first: list[int] = []
+    class_of: list[int] = []
+    for i, key in enumerate(keys):
+        c = number.get(key)
+        if c is None:
+            c = len(distinct)
+            number[key] = c
+            distinct.append(key)
+            first.append(i)
+        class_of.append(c)
+    return class_of, first, distinct
+
+
+def _letter_swaps(distinct: list[Dfa]) -> list[list[int]]:
+    """The class each class moves to when letters ``a`` and ``a + 1`` trade
+    places, one map per ``a``; together they generate every renaming.
+
+    A key is a minimal DFA, so swapping two of its columns and minimising
+    again gives the key of the renamed language.  Both enumerations are
+    closed under renaming letters, so a key that is not found means the
+    classes were built wrong.
+    """
+    number = {key: c for c, key in enumerate(distinct)}
+    maps = []
+    for a in range(distinct[0].sigma - 1):
+        image = []
+        for key in distinct:
+            rows = tuple(
+                row[:a] + (row[a + 1], row[a]) + row[a + 2 :] for row in key.delta
+            )
+            renamed = minimize(
+                Dfa(key.alphabet, key.state_count, key.start, key.finals, rows)
+            )
+            c = number.get(renamed)
+            if c is None:
+                raise AssertionError(
+                    f"swapping letters {a} and {a + 1} leaves the enumerated classes"
+                )
+            image.append(c)
+        maps.append(image)
+    return maps
+
+
 def search_max(
     op: CombinedOp,
     m: int,
@@ -305,24 +359,27 @@ def search_max(
 ) -> SearchReport:
     """Maximise the measured minimal size of ``op`` over pairs of DFAs.
 
-    Exhaustive mode enumerates every pair of complete machines with starts
+    Exhaustive mode covers every pair of complete machines with starts
     fixed at 0 (refusing over ``pair_budget`` pairs); sampled mode draws
     seeded random pairs.  Deterministic for fixed arguments; ties go to the
     earliest pair, and the winner is re-measured through the public
     pipeline before reporting.
+
+    The exhaustive search measures one pair per orbit, not every pair.  The
+    measured size depends only on the languages op(L(M)) and L(N), so M is
+    classed by the minimal DFA of its first component and N by its own
+    minimal DFA.  Renaming letters commutes with star, reversal and the
+    products, so one size also holds for every pair of classes reached
+    from a measured one by renaming both sides alike.
     """
     if m < 2 or n < 2:
         raise ValueError(f"search needs m, n >= 2, got m={m}, n={n}")
     union = op.boolean_mode == "union"
-    kind = (
-        BoundKind.STAR_COMBINED_TIGHT
-        if op.uses_star
-        else BoundKind.REVERSAL_COMBINED_TIGHT
-    )
-    predicted = bound_value(kind, m, n)
+    predicted = tight_bound(op, m, n)
     best = -1
     best_pair: tuple[Dfa, Dfa] | None = None
     examined = 0
+    measured = 0
     if mode.kind == "exhaustive":
         pairs = dfa_space_size(m, alphabet) * dfa_space_size(n, alphabet)
         if pairs > pair_budget:
@@ -334,14 +391,40 @@ def search_max(
         else:
             ns = []
             enumerate_dfas(n, alphabet, ns.append, budget=pair_budget)
-        for dM in ms:
-            firstM = first_component(dM, op)
-            for dN in ns:
-                size = _measured_size(firstM, dN, union)
-                examined += 1
-                if size > best:
-                    best = size
-                    best_pair = (dM, dN)
+        m_class, _, m_keys = _classes(
+            minimize(first_component(dM, op).dfa) for dM in ms
+        )
+        _, n_first, n_keys = _classes(minimize(dN) for dN in ns)
+        swaps = list(zip(_letter_swaps(m_keys), _letter_swaps(n_keys)))
+        # size_of[cm * width + cn] is the size of every pair in classes
+        # (cm, cn); each orbit is measured once, on the two class keys, and
+        # filled by breadth-first search over the letter swaps.
+        width = len(n_keys)
+        size_of = [-1] * (len(m_keys) * width)
+        for cell in range(len(size_of)):
+            if size_of[cell] >= 0:
+                continue
+            cm, cn = divmod(cell, width)
+            size = _measured_size(m_keys[cm], n_keys[cn], union)
+            measured += 1
+            size_of[cell] = size
+            orbit = [cell]
+            for x in orbit:
+                cm, cn = divmod(x, width)
+                for to_m, to_n in swaps:
+                    y = to_m[cm] * width + to_n[cn]
+                    if size_of[y] < 0:
+                        size_of[y] = size
+                        orbit.append(y)
+        examined = pairs
+        best = max(size_of)
+        # The earliest pair in enumeration order reaching the maximum.
+        for i, cm in enumerate(m_class):
+            row = size_of[cm * width : (cm + 1) * width]
+            if best in row:
+                j = min(n_first[cn] for cn in range(width) if row[cn] == best)
+                best_pair = (ms[i], ns[j])
+                break
     elif mode.kind == "sampled":
         if mode.samples < 1:
             raise ValueError("sampled mode needs a positive sample count")
@@ -351,11 +434,12 @@ def search_max(
         for _ in range(mode.samples):
             dM = random_dfa(m, alphabet, rng.next_uint64())
             dN = random_dfa(n, alphabet, rng.next_uint64())
-            size = _measured_size(first_component(dM, op), dN, union)
+            size = _measured_size(first_component(dM, op).dfa, dN, union)
             examined += 1
             if size > best:
                 best = size
                 best_pair = (dM, dN)
+        measured = examined
     else:
         raise ValueError(f"unknown search mode: {mode.kind!r}")
     assert best_pair is not None
@@ -365,5 +449,5 @@ def search_max(
             f"fast measurement {best} disagrees with the pipeline's {recheck}"
         )
     return SearchReport(
-        op, m, n, len(alphabet), mode, best, best_pair, examined, predicted
+        op, m, n, len(alphabet), mode, best, best_pair, examined, predicted, measured
     )

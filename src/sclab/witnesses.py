@@ -142,6 +142,16 @@ def bound_value(
     return 2**m * n - n + 1
 
 
+def tight_bound(op: CombinedOp, m: int, n: int) -> int:
+    """The closed form ``op``'s witness pair attains at sizes (m, n)."""
+    kind = (
+        BoundKind.STAR_COMBINED_TIGHT
+        if op.uses_star
+        else BoundKind.REVERSAL_COMBINED_TIGHT
+    )
+    return bound_value(kind, m, n)
+
+
 def pipeline_bound(op: CombinedOp, m: int, n: int, k: int) -> int:
     """Worst-case minimal size for ``op`` on an m-state machine with ``k``
     finals other than the start and an n-state machine.

@@ -325,3 +325,16 @@ def test_measure_cell_and_records_api():
     rows = sweep_records(CombinedOp.STAR_UNION, (2, 3), (2, 2))
     assert [(r.m, r.n) for r in rows] == [(2, 2), (3, 2)]
     assert all(r.measured <= r.predicted for r in rows)
+
+
+def test_search_json_counts_pairs_measured(capsys):
+    argv = ("search", "star-union", "--m", "2", "--n", "2", "--sigma", "3")
+    code, out, _ = run(capsys, *argv, "--exhaustive", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["machines_examined"] == 65536
+    assert payload["pairs_measured"] == 1512
+    code, out, _ = run(capsys, *argv, "--samples", "25", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["pairs_measured"] == payload["machines_examined"] == 25

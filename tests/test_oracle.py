@@ -17,6 +17,7 @@ from sclab import (
     reverse_membership_oracle,
     search_max,
     star_membership_oracle,
+    state_complexity,
     table_filling_minimize,
 )
 from sclab.witnesses import (
@@ -185,3 +186,38 @@ def test_search_max_ties_go_to_the_earliest_pair():
     r1 = search_max(CombinedOp.REVERSAL_UNION, 2, 2, A1, mode)
     r2 = search_max(CombinedOp.REVERSAL_UNION, 2, 2, A1, mode)
     assert r1.achieving_pair == r2.achieving_pair
+
+
+@pytest.mark.parametrize("sigma", [1, 2])
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_search_max_matches_brute_force(op, sigma):
+    # brute force over every pair is the oracle for the orbit search
+    alphabet = Alphabet(("a", "b")[:sigma])
+    machines = []
+    enumerate_dfas(2, alphabet, machines.append)
+    best, best_pair, examined = -1, None, 0
+    for dM in machines:
+        for dN in machines:
+            size = state_complexity(dM, dN, op)
+            examined += 1
+            if size > best:
+                best, best_pair = size, (dM, dN)
+    report = search_max(op, 2, 2, alphabet, SearchMode.exhaustive())
+    assert report.observed_max == best
+    assert report.achieving_pair == best_pair
+    assert report.machines_examined == examined
+
+
+@pytest.mark.parametrize(
+    "op, measured",
+    [
+        (CombinedOp.STAR_UNION, 1512),
+        (CombinedOp.STAR_INTERSECTION, 1512),
+        (CombinedOp.REVERSAL_UNION, 2516),
+        (CombinedOp.REVERSAL_INTERSECTION, 2516),
+    ],
+)
+def test_exhaustive_search_measures_one_pair_per_orbit(op, measured):
+    report = search_max(op, 2, 2, STAR_ALPHABET, SearchMode.exhaustive())
+    assert report.machines_examined == 65536
+    assert report.pairs_measured == measured

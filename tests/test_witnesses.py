@@ -13,6 +13,7 @@ from sclab.witnesses import (
     star_witness_m,
     star_witness_n,
     star_witness_n_intersection,
+    tight_bound,
     witness_pair,
 )
 
@@ -169,3 +170,17 @@ def test_pipeline_bound_reversal_allows_one_state_machines():
     assert pipeline_bound(CombinedOp.REVERSAL_INTERSECTION, 4, 3, k=2) == 46
     with pytest.raises(ValueError):
         pipeline_bound(CombinedOp.REVERSAL_UNION, 0, 3, k=0)
+
+
+def test_tight_bound_picks_the_op_family():
+    for op in CombinedOp:
+        kind = (
+            BoundKind.STAR_COMBINED_TIGHT
+            if op.uses_star
+            else BoundKind.REVERSAL_COMBINED_TIGHT
+        )
+        for m in (2, 3, 5):
+            for n in (2, 4):
+                assert tight_bound(op, m, n) == bound_value(kind, m, n)
+    assert tight_bound(CombinedOp.STAR_INTERSECTION, 4, 3) == 34
+    assert tight_bound(CombinedOp.REVERSAL_UNION, 2, 2) == 7
