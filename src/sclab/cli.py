@@ -2,8 +2,9 @@
 
 ``sc`` measures one witness cell against its closed-form size, ``witness``
 emits a witness machine as text or DOT, ``verify`` checks two user machines
-against the applicable upper bound, ``sweep`` runs (m, n) grids, and
-``search`` hunts for worst cases over exhaustive or sampled DFA pairs.
+against the applicable upper bound, ``sweep`` runs (m, n) grids for one or
+more ops as one table (checking every op's caps before measuring anything),
+and ``search`` hunts for worst cases over exhaustive or sampled DFA pairs.
 
 Exit status: 0 on success (bound matched or held), 1 on a mismatch or bound
 violation, 2 on usage or parse errors, including budget refusals.  Output is
@@ -149,12 +150,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("fileM")
     p_verify.add_argument("fileN")
 
-    p_sweep = sub.add_parser("sweep", help="measure a grid of witness cells")
-    p_sweep.add_argument("op", choices=op_names)
+    p_sweep = sub.add_parser(
+        "sweep", help="measure a grid of witness cells for one or more ops"
+    )
+    p_sweep.add_argument(
+        "ops", nargs="+", choices=op_names, metavar="op", help=", ".join(op_names)
+    )
     p_sweep.add_argument("--m", required=True, help="range like 2..8, or one value")
     p_sweep.add_argument("--n", required=True, help="range like 2..6, or one value")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument("--max-m", type=int, help="override the op's m cap")
+    p_sweep.add_argument("--max-m", type=int, help="override every op's m cap")
     p_sweep.add_argument("--max-n", type=int, help="override the n cap")
 
     p_search = sub.add_parser(
@@ -249,20 +254,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    op = CombinedOp(args.op)
+    ops = [CombinedOp(name) for name in args.ops]
     m_range = _parse_range(args.m, "m")
     n_range = _parse_range(args.n, "n")
-    cap_m = args.max_m or (STAR_SWEEP_MAX_M if op.uses_star else REVERSAL_SWEEP_MAX_M)
-    cap_n = args.max_n or SWEEP_MAX_N
-    if m_range[0] < 2 or m_range[1] > cap_m:
-        raise UsageError(
-            f"m range {m_range[0]}..{m_range[1]} outside 2..{cap_m} for {op.value}"
-        )
+    for op in ops:
+        cap_m = args.max_m
+        if cap_m is None:
+            cap_m = STAR_SWEEP_MAX_M if op.uses_star else REVERSAL_SWEEP_MAX_M
+        if m_range[0] < 2 or m_range[1] > cap_m:
+            raise UsageError(
+                f"m range {m_range[0]}..{m_range[1]} outside 2..{cap_m} for {op.value}"
+            )
+    cap_n = SWEEP_MAX_N if args.max_n is None else args.max_n
     if n_range[0] < 2 or n_range[1] > cap_n:
         raise UsageError(
             f"n range {n_range[0]}..{n_range[1]} outside 2..{cap_n}"
         )
-    records = sweep_records(op, m_range, n_range)
+    records = [r for op in ops for r in sweep_records(op, m_range, n_range)]
     if args.format == "csv":
         print(CSV_HEADER)
         for r in records:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal
+from typing import Iterable, Literal
 
 from .core import Alphabet, Dfa, Nfa, require_same_alphabet
 
@@ -66,15 +66,27 @@ class SubsetDfa:
             raise ValueError("need exactly one label per state")
 
 
+def _mask(states: Iterable[int]) -> int:
+    """Bit-set of the given state indices."""
+    bits = 0
+    for q in states:
+        bits |= 1 << q
+    return bits
+
+
 def _mask_to_frozenset(mask: int) -> frozenset[int]:
-    out = []
-    q = 0
+    return frozenset(q for q in range(mask.bit_length()) if mask >> q & 1)
+
+
+def _image(mask: int, column: list[int]) -> int:
+    """Union of ``column[q]``, a bit-set per state, over the states in
+    ``mask``: the subset reached from ``mask`` on one symbol."""
+    image = 0
     while mask:
-        if mask & 1:
-            out.append(q)
-        mask >>= 1
-        q += 1
-    return frozenset(out)
+        low = mask & -mask
+        image |= column[low.bit_length() - 1]
+        mask ^= low
+    return image
 
 
 def reverse_to_nfa(d: Dfa) -> Nfa:
@@ -104,39 +116,22 @@ def determinize(nf: Nfa) -> SubsetDfa:
     breadth-first discovery order, so the output is already in canonical
     form.
     """
-    sigma = nf.sigma
-    move = [[0] * sigma for _ in range(nf.state_count)]
-    for q in range(nf.state_count):
-        for a in range(sigma):
-            bits = 0
-            for t in nf.delta[q][a]:
-                bits |= 1 << t
-            move[q][a] = bits
-    start = 0
-    for q in nf.starts:
-        start |= 1 << q
-    final_mask = 0
-    for q in nf.finals:
-        final_mask |= 1 << q
+    columns = [[_mask(row[a]) for row in nf.delta] for a in range(nf.sigma)]
+    start = _mask(nf.starts)
     index = {start: 0}
     order = [start]
     rows = []
     for subset in order:
         row = []
-        for a in range(sigma):
-            image = 0
-            rest = subset
-            while rest:
-                low = rest & -rest
-                image |= move[low.bit_length() - 1][a]
-                rest ^= low
+        for column in columns:
+            image = _image(subset, column)
             t = index.get(image)
             if t is None:
-                t = len(order)
-                index[image] = t
+                t = index[image] = len(order)
                 order.append(image)
             row.append(t)
         rows.append(tuple(row))
+    final_mask = _mask(nf.finals)
     finals = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
     dfa = Dfa(nf.alphabet, len(order), 0, finals, tuple(rows))
     return SubsetDfa(dfa, tuple(_mask_to_frozenset(s) for s in order))
@@ -163,38 +158,25 @@ def star_explicit(d: Dfa) -> SubsetDfa:
             "start; with none, the language is already its own star (start "
             "final) or the star is just the empty word (no finals)"
         )
-    m, sigma = d.state_count, d.sigma
-    f0_mask = 0
-    for q in restart_finals:
-        f0_mask |= 1 << q
-    final_mask = 0
-    for q in d.finals:
-        final_mask |= 1 << q
+    f0_mask = _mask(restart_finals)
     start_bit = 1 << d.start
 
     index: dict[int, int] = {}
     members: list[int] = []
-    for mask in range(1, 1 << m):
+    for mask in range(1, 1 << d.state_count):
         if (mask & f0_mask) == 0 or (mask & start_bit and mask & f0_mask):
             index[mask] = len(members) + 1
             members.append(mask)
 
-    bit_step = [[1 << d.delta[q][a] for a in range(sigma)] for q in range(m)]
-
-    def step(mask: int, a: int) -> int:
-        image = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            image |= bit_step[low.bit_length() - 1][a]
-            rest ^= low
-        if image & f0_mask:
-            image |= start_bit
-        return image
-
-    rows = [tuple(index[step(start_bit, a)] for a in range(sigma))]
-    for mask in members:
-        rows.append(tuple(index[step(mask, a)] for a in range(sigma)))
+    columns = [[1 << row[a] for row in d.delta] for a in range(d.sigma)]
+    rows = []
+    for mask in (start_bit, *members):
+        row = []
+        for column in columns:
+            image = _image(mask, column)
+            row.append(index[image | start_bit if image & f0_mask else image])
+        rows.append(tuple(row))
+    final_mask = _mask(d.finals)
     finals = frozenset({0}) | frozenset(
         index[mask] for mask in members if mask & final_mask
     )
@@ -209,46 +191,39 @@ def star_generic(d: Dfa) -> Dfa:
     Tokens advance through ``d`` in parallel; whenever one lands on a final
     state a new token is started at ``d.start``, and the empty word is
     accepted at a fresh start state.  Works for any machine and guarantees
-    nothing about the state count.
+    nothing about the state count.  Built as the subset construction of the
+    NFA that adds the restarts as edges and the fresh start as state ``m``.
     """
-    sigma = d.sigma
-    final_mask = 0
-    for q in d.finals:
-        final_mask |= 1 << q
-    start_bit = 1 << d.start
-    bit_step = [
-        [1 << d.delta[q][a] for a in range(sigma)] for q in range(d.state_count)
+    m = d.state_count
+    cells = [
+        [{t, d.start} if t in d.finals else {t} for t in row] for row in d.delta
     ]
+    cells.append(cells[d.start])
+    star = Nfa(d.alphabet, m + 1, {m}, d.finals | {m}, cells)
+    return determinize(star).dfa
 
-    def step(mask: int, a: int) -> int:
-        image = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            image |= bit_step[low.bit_length() - 1][a]
-            rest ^= low
-        if image & final_mask:
-            image |= start_bit
-        return image
 
-    index: dict[int, int] = {}
-    order: list[int] = []
-
-    def intern(mask: int) -> int:
-        t = index.get(mask)
-        if t is None:
-            t = len(order) + 1
-            index[mask] = t
-            order.append(mask)
-        return t
-
-    rows = [tuple(intern(step(start_bit, a)) for a in range(sigma))]
-    for mask in order:
-        rows.append(tuple(intern(step(mask, a)) for a in range(sigma)))
-    finals = frozenset({0}) | frozenset(
-        i + 1 for i, mask in enumerate(order) if mask & final_mask
-    )
-    return Dfa(d.alphabet, 1 + len(order), 0, finals, tuple(rows))
+def pair_rows(
+    d1: Dfa, d2: Dfa
+) -> tuple[list[tuple[int, int]], list[tuple[int, ...]]]:
+    """Reachable pairs of the componentwise pair machine in breadth-first
+    discovery order from the start pair, with each pair's transition row as
+    positions in that order.  The machines must share an alphabet."""
+    delta1, delta2 = d1.delta, d2.delta
+    start = (d1.start, d2.start)
+    index = {start: 0}
+    pairs = [start]
+    rows = []
+    for i, j in pairs:
+        row = []
+        for key in zip(delta1[i], delta2[j]):
+            t = index.get(key)
+            if t is None:
+                t = index[key] = len(pairs)
+                pairs.append(key)
+            row.append(t)
+        rows.append(tuple(row))
+    return pairs, rows
 
 
 def product(d1: Dfa, d2: Dfa, mode: BooleanMode) -> SubsetDfa:
@@ -261,33 +236,14 @@ def product(d1: Dfa, d2: Dfa, mode: BooleanMode) -> SubsetDfa:
     require_same_alphabet(d1, d2)
     if mode not in ("union", "intersection"):
         raise ValueError(f"unknown mode: {mode!r}")
-    union = mode == "union"
-    sigma = d1.sigma
-    delta1, delta2 = d1.delta, d2.delta
-    start = (d1.start, d2.start)
-    index: dict[tuple[int, int], int] = {start: 0}
-    order: list[tuple[int, int]] = [start]
-    rows = []
-    for i, j in order:
-        row1 = delta1[i]
-        row2 = delta2[j]
-        row = []
-        for a in range(sigma):
-            key = (row1[a], row2[a])
-            t = index.get(key)
-            if t is None:
-                t = len(order)
-                index[key] = t
-                order.append(key)
-            row.append(t)
-        rows.append(tuple(row))
+    pairs, rows = pair_rows(d1, d2)
     f1, f2 = d1.finals, d2.finals
-    if union:
-        finals = frozenset(t for t, (i, j) in enumerate(order) if i in f1 or j in f2)
+    if mode == "union":
+        finals = frozenset(t for t, (i, j) in enumerate(pairs) if i in f1 or j in f2)
     else:
-        finals = frozenset(t for t, (i, j) in enumerate(order) if i in f1 and j in f2)
-    dfa = Dfa(d1.alphabet, len(order), 0, finals, tuple(rows))
-    return SubsetDfa(dfa, tuple(order))
+        finals = frozenset(t for t, (i, j) in enumerate(pairs) if i in f1 and j in f2)
+    dfa = Dfa(d1.alphabet, len(pairs), 0, finals, tuple(rows))
+    return SubsetDfa(dfa, tuple(pairs))
 
 
 def epsilon_only_dfa(alphabet: Alphabet) -> Dfa:

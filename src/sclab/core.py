@@ -202,6 +202,23 @@ def nfa_accepts(nf: Nfa, word: Sequence[int]) -> bool:
     return not current.isdisjoint(nf.finals)
 
 
+def reachable(d: Dfa) -> tuple[list[int], list[tuple[int, ...]], list[bool]]:
+    """Reachable states in breadth-first discovery order from the start,
+    exploring symbols in alphabet order, with transition rows renumbered to
+    positions in that order and one finality flag per position."""
+    index = [-1] * d.state_count
+    index[d.start] = 0
+    order = [d.start]
+    for q in order:
+        for t in d.delta[q]:
+            if index[t] < 0:
+                index[t] = len(order)
+                order.append(t)
+    rows = [tuple([index[t] for t in d.delta[q]]) for q in order]
+    finals = [q in d.finals for q in order]
+    return order, rows, finals
+
+
 def relabel_canonical(d: Dfa) -> Dfa:
     """Renumber states in breadth-first discovery order from the start,
     exploring symbols in alphabet order; unreachable states are dropped.
@@ -209,21 +226,9 @@ def relabel_canonical(d: Dfa) -> Dfa:
     Reachable-trim DFAs are isomorphic exactly when their canonical forms
     are equal, so this is also the isomorphism check used by the tests.
     """
-    sigma = d.sigma
-    index: dict[int, int] = {d.start: 0}
-    order = [d.start]
-    for q in order:
-        row = d.delta[q]
-        for a in range(sigma):
-            t = row[a]
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-    delta = tuple(
-        tuple(index[d.delta[q][a]] for a in range(sigma)) for q in order
-    )
-    finals = frozenset(index[q] for q in d.finals if q in index)
-    return Dfa(d.alphabet, len(order), 0, finals, delta)
+    order, rows, finals = reachable(d)
+    flagged = frozenset(pos for pos, final in enumerate(finals) if final)
+    return Dfa(d.alphabet, len(order), 0, flagged, tuple(rows))
 
 
 def require_same_alphabet(d1: Dfa | Nfa, d2: Dfa | Nfa) -> None:

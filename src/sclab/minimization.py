@@ -6,8 +6,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import Dfa, Word, require_same_alphabet
-from .constructions import CombinedOp, combined
+from .core import Dfa, Word, reachable, require_same_alphabet
+from .constructions import CombinedOp, combined, pair_rows
 
 
 @dataclass(frozen=True)
@@ -18,21 +18,6 @@ class Partition:
 
     block_of: tuple[int | None, ...]
     block_count: int
-
-
-def _trimmed(d: Dfa) -> tuple[list[int], list[tuple[int, ...]], list[bool]]:
-    """Reachable states in breadth-first order, with remapped transition
-    rows and finality flags."""
-    index = {d.start: 0}
-    order = [d.start]
-    for q in order:
-        for t in d.delta[q]:
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
-    rows = [tuple(index[t] for t in d.delta[q]) for q in order]
-    finals = [q in d.finals for q in order]
-    return order, rows, finals
 
 
 def _refine(
@@ -101,17 +86,31 @@ def _refine(
     return block_of, len(blocks)
 
 
+def _first_appearance(block_of: list[int], count: int) -> tuple[list[int], list[int]]:
+    """Renumber blocks by the first position holding them: the new number
+    of every block, and the first position of every new number.
+
+    Over breadth-first positions this is the quotient's own breadth-first
+    order (the first state of a block is entered by the quotient's first
+    edge into it), so the numbering is canonical.
+    """
+    number = [-1] * count
+    first: list[int] = []
+    for pos, b in enumerate(block_of):
+        if number[b] < 0:
+            number[b] = len(first)
+            first.append(pos)
+    return number, first
+
+
 def equivalence_partition(d: Dfa) -> Partition:
     """Group the reachable states of ``d`` into language-equivalence blocks."""
-    order, rows, finals = _trimmed(d)
+    order, rows, finals = reachable(d)
     block_of, count = _refine(len(order), d.sigma, rows, finals)
-    renumber: dict[int, int] = {}
-    for b in block_of:
-        if b not in renumber:
-            renumber[b] = len(renumber)
+    number, _ = _first_appearance(block_of, count)
     out: list[int | None] = [None] * d.state_count
     for pos, q in enumerate(order):
-        out[q] = renumber[block_of[pos]]
+        out[q] = number[block_of[pos]]
     return Partition(tuple(out), count)
 
 
@@ -121,30 +120,11 @@ def minimize(d: Dfa) -> Dfa:
     The result is complete, accepts the same language as ``d``, has no pair
     of equivalent states, and is a fixed point of this function.
     """
-    order, rows, finals = _trimmed(d)
-    n = len(order)
-    sigma = d.sigma
-    block_of, count = _refine(n, sigma, rows, finals)
-    reps = [-1] * count
-    for pos in range(n):
-        b = block_of[pos]
-        if reps[b] < 0:
-            reps[b] = pos
-    bindex = [-1] * count
-    bindex[block_of[0]] = 0
-    border = [block_of[0]]
-    for b in border:
-        row = rows[reps[b]]
-        for a in range(sigma):
-            t = block_of[row[a]]
-            if bindex[t] < 0:
-                bindex[t] = len(border)
-                border.append(t)
-    delta = tuple(
-        tuple(bindex[block_of[rows[reps[b]][a]]] for a in range(sigma))
-        for b in border
-    )
-    qfinals = frozenset(bindex[b] for b in range(count) if finals[reps[b]])
+    order, rows, finals = reachable(d)
+    block_of, count = _refine(len(order), d.sigma, rows, finals)
+    number, reps = _first_appearance(block_of, count)
+    delta = tuple([tuple([number[block_of[t]] for t in rows[r]]) for r in reps])
+    qfinals = frozenset(i for i, r in enumerate(reps) if finals[r])
     return Dfa(d.alphabet, count, 0, qfinals, delta)
 
 
@@ -152,25 +132,9 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
     """True iff the machines accept the same language: their symmetric
     difference is empty, decided by walking the reachable product."""
     require_same_alphabet(d1, d2)
-    sigma = d1.sigma
+    pairs, _ = pair_rows(d1, d2)
     f1, f2 = d1.finals, d2.finals
-    start = (d1.start, d2.start)
-    if (start[0] in f1) != (start[1] in f2):
-        return False
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        p, q = queue.popleft()
-        row1 = d1.delta[p]
-        row2 = d2.delta[q]
-        for a in range(sigma):
-            nxt = (row1[a], row2[a])
-            if nxt not in seen:
-                if (nxt[0] in f1) != (nxt[1] in f2):
-                    return False
-                seen.add(nxt)
-                queue.append(nxt)
-    return True
+    return all((i in f1) == (j in f2) for i, j in pairs)
 
 
 def distinguishing_word(d: Dfa, p: int, q: int) -> Word | None:

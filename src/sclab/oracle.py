@@ -9,8 +9,15 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import Alphabet, Dfa, dfa_accepts, relabel_canonical, require_same_alphabet
-from .constructions import CombinedOp, first_component
+from .core import (
+    Alphabet,
+    Dfa,
+    dfa_accepts,
+    reachable,
+    relabel_canonical,
+    require_same_alphabet,
+)
+from .constructions import CombinedOp, first_component, pair_rows
 from .minimization import _refine, minimize, state_complexity
 from .witnesses import tight_bound
 
@@ -62,16 +69,8 @@ def table_filling_minimize(d: Dfa) -> Dfa:
     output is structurally equal to ``minimize``'s on every machine.
     """
     sigma = d.sigma
-    index = {d.start: 0}
-    order = [d.start]
-    for q in order:
-        for t in d.delta[q]:
-            if t not in index:
-                index[t] = len(order)
-                order.append(t)
+    order, rows, fin = reachable(d)
     n = len(order)
-    rows = [tuple(index[t] for t in d.delta[q]) for q in order]
-    fin = [q in d.finals for q in order]
     marked = [[False] * n for _ in range(n)]
     pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(sigma)]
     for q in range(n):
@@ -272,29 +271,13 @@ def _measured_size(d1: Dfa, dN: Dfa, union: bool) -> int:
     The pair machine is reachable by construction, so the refined block
     count equals the minimised state count.
     """
-    rows1, rows2 = d1.delta, dN.delta
+    pairs, rows = pair_rows(d1, dN)
     f1, f2 = d1.finals, dN.finals
-    sigma = d1.sigma
-    start = (d1.start, dN.start)
-    index = {start: 0}
-    order = [start]
-    rows: list[tuple[int, ...]] = []
-    finals: list[bool] = []
-    for i, j in order:
-        row1 = rows1[i]
-        row2 = rows2[j]
-        row = []
-        for a in range(sigma):
-            key = (row1[a], row2[a])
-            t = index.get(key)
-            if t is None:
-                t = len(order)
-                index[key] = t
-                order.append(key)
-            row.append(t)
-        rows.append(tuple(row))
-        finals.append((i in f1 or j in f2) if union else (i in f1 and j in f2))
-    _, count = _refine(len(order), sigma, rows, finals)
+    if union:
+        finals = [i in f1 or j in f2 for i, j in pairs]
+    else:
+        finals = [i in f1 and j in f2 for i, j in pairs]
+    _, count = _refine(len(pairs), d1.sigma, rows, finals)
     return count
 
 

@@ -1,5 +1,7 @@
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from sclab.cli import (
     BUDGET_ENV_VAR,
     CSV_HEADER,
     SweepRecord,
+    build_parser,
     main,
     measure_cell,
     sweep_records,
@@ -218,6 +221,76 @@ def test_sweep_range_validation(capsys):
     )
     assert code == 0
     assert out.splitlines()[1].startswith("reversal-union,11,2,")
+
+
+def test_sweep_zero_caps_are_honoured(capsys):
+    code, out, err = run(
+        capsys, "sweep", "star-union", "--m", "2", "--n", "2", "--max-m", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "outside 2..0" in err
+    code, out, err = run(
+        capsys, "sweep", "star-union", "--m", "2", "--n", "2", "--max-n", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "outside 2..0" in err
+
+
+def test_sweep_several_ops_make_one_table(capsys):
+    argv = ("sweep", "star-union", "reversal-union", "--m", "2..3", "--n", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert lines.count(CSV_HEADER) == 1
+    assert [tuple(ln.split(",")[:3]) for ln in lines[1:]] == [
+        ("star-union", "2", "2"),
+        ("star-union", "3", "2"),
+        ("reversal-union", "2", "2"),
+        ("reversal-union", "3", "2"),
+    ]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [(r["op"], r["m"]) for r in rows] == [
+        ("star-union", 2),
+        ("star-union", 3),
+        ("reversal-union", 2),
+        ("reversal-union", 3),
+    ]
+
+
+def test_sweep_checks_every_op_cap_before_measuring(capsys):
+    code, out, err = run(
+        capsys, "sweep", "star-union", "reversal-union", "--m", "2..11", "--n", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert "outside 2..10 for reversal-union" in err
+
+
+def test_readme_command_lines_parse():
+    # every `sclab ...` line in the README's sh blocks is accepted by the
+    # parser; nothing is run
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = [
+        ln.strip()
+        for block in blocks
+        for ln in block.splitlines()
+        if ln.strip().startswith("sclab ")
+    ]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for line in lines:
+        command = re.split(r"[|>]", line)[0]
+        argv = shlex.split(command)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
 
 
 def test_sweep_determinism_modulo_timing(capsys):

@@ -12,6 +12,7 @@ from sclab import (
     dfa_space_size,
     enumerate_dfas,
     equivalent,
+    first_component,
     minimize,
     random_dfa,
     reverse_membership_oracle,
@@ -20,6 +21,7 @@ from sclab import (
     state_complexity,
     table_filling_minimize,
 )
+from sclab.oracle import _measured_size
 from sclab.witnesses import (
     STAR_ALPHABET,
     reversal_witness_m,
@@ -221,3 +223,22 @@ def test_exhaustive_search_measures_one_pair_per_orbit(op, measured):
     report = search_max(op, 2, 2, STAR_ALPHABET, SearchMode.exhaustive())
     assert report.machines_examined == 65536
     assert report.pairs_measured == measured
+
+
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_search_kernel_agrees_with_both_minimisers(op):
+    # the search's per-pair kernel against the public pipeline and the
+    # table-filling oracle, on seeded random pairs
+    rng = SplitMix64(0x5C1AB)
+    union = op.boolean_mode == "union"
+    for sigma in (1, 2, 3):
+        alphabet = Alphabet(("a", "b", "c")[:sigma])
+        for m in (2, 3, 4):
+            for n in (2, 3):
+                for _ in range(4):
+                    dM = random_dfa(m, alphabet, rng.next_uint64())
+                    dN = random_dfa(n, alphabet, rng.next_uint64())
+                    kernel = _measured_size(first_component(dM, op).dfa, dN, union)
+                    pipeline = state_complexity(dM, dN, op)
+                    oracle = table_filling_minimize(combined(dM, dN, op).dfa)
+                    assert kernel == pipeline == oracle.state_count, (dM, dN)
