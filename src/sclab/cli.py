@@ -47,7 +47,7 @@ from .witnesses import (
 
 BUDGET_ENV_VAR = "SCLAB_PAIR_BUDGET"
 STAR_SWEEP_MAX_M = 12
-REVERSAL_SWEEP_MAX_M = 10
+REVERSAL_SWEEP_MAX_M = 12
 SWEEP_MAX_N = 8
 
 _FAMILIES = {

@@ -1,4 +1,4 @@
-"""Minimal DFAs via worklist partition refinement, language equivalence via
+"""Minimal DFAs via Hopcroft partition refinement, language equivalence via
 product reachability, and shortest distinguishing words."""
 
 from __future__ import annotations
@@ -23,67 +23,85 @@ class Partition:
 def _refine(
     n: int, sigma: int, rows: list[tuple[int, ...]], finals: list[bool]
 ) -> tuple[list[int], int]:
-    """Worklist partition refinement over a trimmed complete DFA.
+    """Hopcroft refinement over a flat refinable partition of a trimmed
+    complete DFA.
 
     ``rows[q][a]`` is the target of state ``q`` on symbol ``a``.  Returns a
-    block id per state and the block count.  Starting from the finals /
-    non-finals split, repeatedly pick a pending block, compute its preimage
-    under each symbol, and split every block that straddles the preimage;
-    the smaller half of a split joins the pending set, or both halves when
-    the split block was itself pending.
+    block id per state and the block count; ids are dense, ``0..count-1``.
+
+    ``elems`` holds the states grouped by block, ``loc[q]`` is the position
+    of ``q`` in it, and block ``b`` is the segment ``first[b]:end[b]``.
+    Starting from the finals / non-finals split, a splitter block is taken
+    from the worklist and, for every symbol, the predecessors of its states
+    are marked: ``mark[b]`` counts the marked members of ``b``, which are
+    swapped to the front of its segment.  A block with some but not all
+    members marked splits, and the smaller half becomes the new block and
+    always joins the worklist (a split block that was pending stays
+    pending), which keeps Hopcroft's n log n bound.  Under one symbol a state
+    has one successor, so it is a predecessor of at most one splitter state
+    and is marked at most once; singleton blocks cannot split and are never
+    marked.
     """
-    fin = [q for q in range(n) if finals[q]]
-    non = [q for q in range(n) if not finals[q]]
-    if not fin or not non:
+    nf = sum(finals)
+    if nf == 0 or nf == n:
         return [0] * n, 1
     pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(sigma)]
     for q in range(n):
         row = rows[q]
         for a in range(sigma):
             pre[a][row[a]].append(q)
-    blocks: list[set[int]] = [set(fin), set(non)]
-    block_of = [1] * n
-    for q in fin:
-        block_of[q] = 0
-    queued = [False, False]
-    small = 0 if len(fin) <= len(non) else 1
-    worklist: deque[int] = deque([small])
-    queued[small] = True
+    elems = [q for q in range(n) if finals[q]] + [q for q in range(n) if not finals[q]]
+    loc = [0] * n
+    for i, q in enumerate(elems):
+        loc[q] = i
+    block_of = [0 if f else 1 for f in finals]
+    first = [0, nf]
+    end = [nf, n]
+    mark = [0, 0]
+    worklist = [0 if nf <= n - nf else 1]
     while worklist:
-        b = worklist.popleft()
-        queued[b] = False
-        splitter = tuple(blocks[b])
-        for a in range(sigma):
-            prea = pre[a]
-            hits: dict[int, list[int]] = {}
+        b = worklist.pop()
+        splitter = elems[first[b] : end[b]]
+        for prea in pre:
+            touched = []
             for t in splitter:
                 for p in prea[t]:
                     y = block_of[p]
-                    if y in hits:
-                        hits[y].append(p)
-                    else:
-                        hits[y] = [p]
-            for y, moved in hits.items():
-                target = blocks[y]
-                if len(moved) == len(target):
+                    f = first[y]
+                    if end[y] - f == 1:
+                        continue
+                    k = mark[y]
+                    if k == 0:
+                        touched.append(y)
+                    mark[y] = k + 1
+                    i = f + k
+                    j = loc[p]
+                    q = elems[i]
+                    elems[i] = p
+                    loc[p] = i
+                    elems[j] = q
+                    loc[q] = j
+            for y in touched:
+                k = mark[y]
+                mark[y] = 0
+                f = first[y]
+                e = end[y]
+                if k == e - f:
                     continue
-                new_id = len(blocks)
-                moved_set = set(moved)
-                target -= moved_set
-                blocks.append(moved_set)
-                queued.append(False)
-                for p in moved:
-                    block_of[p] = new_id
-                if queued[y]:
-                    worklist.append(new_id)
-                    queued[new_id] = True
-                elif len(moved_set) <= len(target):
-                    worklist.append(new_id)
-                    queued[new_id] = True
+                new_id = len(first)
+                if k <= e - f - k:
+                    first.append(f)
+                    end.append(f + k)
+                    first[y] = f + k
                 else:
-                    worklist.append(y)
-                    queued[y] = True
-    return block_of, len(blocks)
+                    first.append(f + k)
+                    end.append(e)
+                    end[y] = f + k
+                mark.append(0)
+                for p in elems[first[new_id] : end[new_id]]:
+                    block_of[p] = new_id
+                worklist.append(new_id)
+    return block_of, len(first)
 
 
 def _first_appearance(block_of: list[int], count: int) -> tuple[list[int], list[int]]:

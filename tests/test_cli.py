@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sclab import format_dfa, parse_dfa
+from sclab import cli, format_dfa, parse_dfa
 from sclab.cli import (
     BUDGET_ENV_VAR,
     CSV_HEADER,
@@ -213,9 +213,9 @@ def test_sweep_range_validation(capsys):
     code, _, err = run(capsys, "sweep", "star-union", "--m", "x", "--n", "2")
     assert code == 2
     assert "expected N or LO..HI" in err
-    code, _, err = run(capsys, "sweep", "reversal-union", "--m", "2..11", "--n", "2")
+    code, _, err = run(capsys, "sweep", "reversal-union", "--m", "2..13", "--n", "2")
     assert code == 2
-    assert "outside 2..10" in err
+    assert "outside 2..12" in err
     code, out, _ = run(
         capsys, "sweep", "reversal-union", "--m", "11", "--n", "2", "--max-m", "11"
     )
@@ -262,13 +262,31 @@ def test_sweep_several_ops_make_one_table(capsys):
     ]
 
 
-def test_sweep_checks_every_op_cap_before_measuring(capsys):
+def test_sweep_checks_every_op_cap_before_measuring(capsys, monkeypatch):
+    # the default caps are equal; lower one so the ops' caps differ
+    monkeypatch.setattr(cli, "REVERSAL_SWEEP_MAX_M", 10)
     code, out, err = run(
         capsys, "sweep", "star-union", "reversal-union", "--m", "2..11", "--n", "2"
     )
     assert code == 2
     assert out == ""
     assert "outside 2..10 for reversal-union" in err
+
+
+def test_sweep_reversal_cap_is_twelve(capsys, monkeypatch):
+    code, out, _ = run(capsys, "sweep", "reversal-union", "--m", "12", "--n", "2")
+    assert code == 0
+    assert out.splitlines()[1].startswith("reversal-union,12,2,")
+
+    def measure(*args):
+        raise AssertionError("a cell was measured past the cap")
+
+    monkeypatch.setattr(cli, "sweep_records", measure)
+    for op in ("reversal-union", "reversal-intersection"):
+        code, out, err = run(capsys, "sweep", op, "--m", "2..13", "--n", "2")
+        assert code == 2
+        assert out == ""
+        assert f"outside 2..12 for {op}" in err
 
 
 def test_readme_command_lines_parse():

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from sclab import (
+    Alphabet,
     CombinedOp,
     Dfa,
     bounded_language_equal,
@@ -10,11 +13,13 @@ from sclab import (
     equivalence_partition,
     equivalent,
     minimize,
+    random_dfa,
     relabel_canonical,
     reverse_to_nfa,
     star_explicit,
     star_generic,
     state_complexity,
+    table_filling_minimize,
 )
 from sclab.witnesses import (
     STAR_ALPHABET,
@@ -27,6 +32,17 @@ from sclab.witnesses import (
 )
 
 from conftest import AB, mkdfa
+
+A1 = Alphabet(("a",))
+
+
+def chain(n: int, finals: set[int]) -> Dfa:
+    # one letter, 0 -> 1 -> ... -> n-1, with n-1 looping on itself
+    return mkdfa(A1, [(min(q + 1, n - 1),) for q in range(n)], finals)
+
+
+def cycle(n: int, finals: set[int]) -> Dfa:
+    return mkdfa(A1, [((q + 1) % n,) for q in range(n)], finals)
 
 
 def test_witnesses_are_already_minimal():
@@ -221,3 +237,70 @@ def test_witness_pair_measures_the_closed_form_per_op():
     for op, m, n, want in cases:
         dM, dN = witness_pair(op, m, n)
         assert state_complexity(dM, dN, op) == want
+
+
+def test_minimize_matches_table_filling_on_witness_products():
+    for op in CombinedOp:
+        for m in range(3, 7):
+            for n in range(2, 5):
+                d = combined(*witness_pair(op, m, n), op).dfa
+                assert minimize(d) == table_filling_minimize(d), (op, m, n)
+
+
+def test_minimize_matches_table_filling_on_one_letter_chains_and_cycles():
+    # a chain whose only final state is n-2 needs words of length about n to
+    # tell its states apart; cycles with periodic finals fold onto the period
+    machines = []
+    for n in (1, 2, 3, 7, 30):
+        machines += [chain(n, {max(n - 2, 0)}), chain(n, {0}), cycle(n, {0})]
+    for n, period in ((6, 3), (12, 4), (30, 5)):
+        machines.append(cycle(n, set(range(0, n, period))))
+    for d in machines:
+        small = minimize(d)
+        assert small == table_filling_minimize(d)
+        assert equivalent(small, d)
+    assert minimize(chain(30, {28})).state_count == 30
+    assert minimize(cycle(30, set(range(0, 30, 5)))).state_count == 5
+
+
+def test_minimize_degenerate_machines():
+    for alphabet in (A1, AB):
+        sigma = len(alphabet)
+        for n in (1, 4):
+            rows = [tuple((q + a + 1) % n for a in range(sigma)) for q in range(n)]
+            for finals in (set(), set(range(n))):
+                d = mkdfa(alphabet, rows, finals)
+                small = minimize(d)
+                assert small.state_count == 1
+                assert small.finals == frozenset(finals and {0})
+                assert small == table_filling_minimize(d)
+
+
+def test_minimize_matches_table_filling_on_random_machines():
+    for sigma, alphabet in ((1, A1), (2, AB), (3, STAR_ALPHABET)):
+        for states in (1, 2, 5, 9, 14):
+            for seed in range(12):
+                d = random_dfa(states, alphabet, seed * 31 + states * sigma)
+                assert minimize(d) == table_filling_minimize(d), (sigma, states, seed)
+
+
+def test_equivalence_partition_ids_are_dense():
+    machines = [chain(9, {7}), cycle(12, {0, 4, 8}), star_witness_m(5)]
+    machines += [random_dfa(8, AB, seed) for seed in range(20)]
+    for d in machines:
+        part = equivalence_partition(d)
+        ids = {b for b in part.block_of if b is not None}
+        assert ids == set(range(part.block_count))
+        assert part.block_count == minimize(d).state_count
+
+
+def test_refinement_is_not_quadratic_on_a_long_chain():
+    # Hopcroft splits this chain in linear time (about 0.05 s); a refiner
+    # that spends a round per distinguishing depth is quadratic here and
+    # already takes seconds at a few thousand states
+    d = chain(20_000, {19_998})
+    start = time.perf_counter()
+    small = minimize(d)
+    elapsed = time.perf_counter() - start
+    assert small.state_count == 20_000
+    assert elapsed < 5.0
