@@ -285,6 +285,10 @@ def _search_mode(args: argparse.Namespace) -> SearchMode:
         return SearchMode.exhaustive()
     if args.samples is None or args.samples < 1:
         raise UsageError("need --exhaustive or a positive --samples count")
+    # splitmix64 keeps the low 64 bits of a seed, so any other value would
+    # repeat a search in range while printing a different seed.
+    if not 0 <= args.seed < 1 << 64:
+        raise UsageError(f"need 0 <= seed < 2**64, got {args.seed}")
     return SearchMode.sampled(args.samples, args.seed)
 
 

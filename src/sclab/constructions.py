@@ -9,9 +9,8 @@ reused as is, or a ``(first, j)`` pair after a product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal
 
 from .core import Alphabet, Dfa, Nfa, require_same_alphabet
 
@@ -53,17 +52,48 @@ class CombinedOp(Enum):
         return "intersection"
 
 
-@dataclass(frozen=True)
 class SubsetDfa:
-    """A DFA plus one label per state recording what the state denotes."""
+    """A DFA plus one label per state recording what the state denotes.
 
-    dfa: Dfa
-    labels: tuple[Label, ...]
+    The subset constructions keep the bit-set of every state instead of
+    building labels; ``labels`` decodes them on first read, so a caller that
+    only wants ``dfa`` never pays for them.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) != self.dfa.state_count:
+    __slots__ = ("dfa", "_labels", "_decode")
+
+    def __init__(self, dfa: Dfa, labels: Iterable[Label]):
+        self.dfa = dfa
+        self._labels: tuple[Label, ...] | None = tuple(labels)
+        self._decode: Callable[[], Iterable[Label]] | None = None
+        if len(self._labels) != dfa.state_count:
             raise ValueError("need exactly one label per state")
+
+    @classmethod
+    def _deferred(cls, dfa: Dfa, decode: Callable[[], Iterable[Label]]) -> SubsetDfa:
+        """A machine whose labels ``decode`` yields, one per state, when
+        they are first read."""
+        sub = cls.__new__(cls)
+        sub.dfa, sub._labels, sub._decode = dfa, None, decode
+        return sub
+
+    @property
+    def labels(self) -> tuple[Label, ...]:
+        if self._labels is None:
+            self._labels = tuple(self._decode())
+            self._decode = None
+        return self._labels
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SubsetDfa):
+            return NotImplemented
+        return self.dfa == other.dfa and self.labels == other.labels
+
+    def __hash__(self) -> int:
+        return hash((self.dfa, self.labels))
+
+    def __repr__(self) -> str:
+        return f"SubsetDfa(dfa={self.dfa!r}, labels={self.labels!r})"
 
 
 def _mask(states: Iterable[int]) -> int:
@@ -107,17 +137,14 @@ def reverse_to_nfa(d: Dfa) -> Nfa:
     return Nfa(d.alphabet, d.state_count, d.finals, frozenset({d.start}), delta)
 
 
-def determinize(nf: Nfa) -> SubsetDfa:
-    """Subset construction from the set of start states.
-
-    The result is complete: an empty transition image leads to the empty
-    subset, which is a non-final sink.  A subset state is final iff it meets
-    ``nf.finals``.  Labels record the subsets, and states are numbered in
-    breadth-first discovery order, so the output is already in canonical
-    form.
-    """
-    columns = [[_mask(row[a]) for row in nf.delta] for a in range(nf.sigma)]
-    start = _mask(nf.starts)
+def _subset_walk(
+    alphabet: Alphabet, columns: list[list[int]], start: int, final_mask: int
+) -> SubsetDfa:
+    """The subset construction behind ``determinize`` and the reversal
+    component: reachable subsets from the bit-set ``start``, where
+    ``columns[a][q]`` is the bit-set of successors of ``q`` on ``a``, final
+    iff they meet ``final_mask``.  Labels decode to the subsets as
+    frozensets when first read."""
     index = {start: 0}
     order = [start]
     rows = []
@@ -131,10 +158,34 @@ def determinize(nf: Nfa) -> SubsetDfa:
                 order.append(image)
             row.append(t)
         rows.append(tuple(row))
-    final_mask = _mask(nf.finals)
     finals = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
-    dfa = Dfa(nf.alphabet, len(order), 0, finals, tuple(rows))
-    return SubsetDfa(dfa, tuple(_mask_to_frozenset(s) for s in order))
+    dfa = Dfa(alphabet, len(order), 0, finals, tuple(rows))
+    return SubsetDfa._deferred(dfa, lambda: map(_mask_to_frozenset, order))
+
+
+def determinize(nf: Nfa) -> SubsetDfa:
+    """Subset construction from the set of start states.
+
+    The result is complete: an empty transition image leads to the empty
+    subset, which is a non-final sink.  A subset state is final iff it meets
+    ``nf.finals``.  Labels record the subsets, and states are numbered in
+    breadth-first discovery order, so the output is already in canonical
+    form.
+    """
+    columns = [[_mask(row[a]) for row in nf.delta] for a in range(nf.sigma)]
+    return _subset_walk(nf.alphabet, columns, _mask(nf.starts), _mask(nf.finals))
+
+
+def _reversal(d: Dfa) -> SubsetDfa:
+    """``determinize(reverse_to_nfa(d))`` built straight from the
+    predecessor bit-sets of ``d``: the walk starts at the finals, and a
+    subset is final iff it holds the start."""
+    columns = [[0] * d.state_count for _ in range(d.sigma)]
+    for p, row in enumerate(d.delta):
+        bit = 1 << p
+        for column, q in zip(columns, row):
+            column[q] |= bit
+    return _subset_walk(d.alphabet, columns, _mask(d.finals), 1 << d.start)
 
 
 def star_explicit(d: Dfa) -> SubsetDfa:
@@ -181,8 +232,9 @@ def star_explicit(d: Dfa) -> SubsetDfa:
         index[mask] for mask in members if mask & final_mask
     )
     dfa = Dfa(d.alphabet, 1 + len(members), 0, finals, tuple(rows))
-    labels = (NEW_START, *(_mask_to_frozenset(mask) for mask in members))
-    return SubsetDfa(dfa, labels)
+    return SubsetDfa._deferred(
+        dfa, lambda: (NEW_START, *map(_mask_to_frozenset, members))
+    )
 
 
 def star_generic(d: Dfa) -> Dfa:
@@ -263,7 +315,7 @@ def first_component(d: Dfa, op: CombinedOp) -> SubsetDfa:
     the labels are plain state indices.
     """
     if not op.uses_star:
-        return determinize(reverse_to_nfa(d))
+        return _reversal(d)
     if d.finals - {d.start}:
         return star_explicit(d)
     if d.start in d.finals:
@@ -282,5 +334,6 @@ def combined(dM: Dfa, dN: Dfa, op: CombinedOp) -> SubsetDfa:
     require_same_alphabet(dM, dN)
     first = first_component(dM, op)
     prod = product(first.dfa, dN, op.boolean_mode)
-    labels = tuple((first.labels[i], j) for i, j in prod.labels)
-    return SubsetDfa(prod.dfa, labels)
+    return SubsetDfa._deferred(
+        prod.dfa, lambda: ((first.labels[i], j) for i, j in prod.labels)
+    )

@@ -248,9 +248,10 @@ class SearchMode:
 @dataclass(frozen=True)
 class SearchReport:
     """Outcome of one worst-case search.  ``machines_examined`` counts the
-    (M, N) pairs the search covers; ``pairs_measured`` counts the pairs it
-    actually built and refined, one per orbit in exhaustive mode and every
-    pair in sampled mode."""
+    (M, N) pairs the search covers; ``pairs_measured`` counts the pairs whose
+    pair machine it built: one per orbit in exhaustive mode, and in sampled
+    mode every pair whose first component times ``n`` states could still
+    beat the running maximum."""
 
     op: CombinedOp
     m: int
@@ -264,14 +265,18 @@ class SearchReport:
     pairs_measured: int
 
 
-def _measured_size(d1: Dfa, dN: Dfa, union: bool) -> int:
+def _measured_size(d1: Dfa, dN: Dfa, union: bool, best: int = -1) -> int:
     """Minimal-DFA size of the pair machine of ``d1`` (a first component)
     and ``dN``, skipping object construction.
 
     The pair machine is reachable by construction, so the refined block
-    count equals the minimised state count.
+    count equals the minimised state count.  A pair machine of at most
+    ``best`` states cannot beat ``best``, so its state count, an upper bound
+    of the size, is returned without refining.
     """
     pairs, rows = pair_rows(d1, dN)
+    if len(pairs) <= best:
+        return len(pairs)
     f1, f2 = d1.finals, dN.finals
     if union:
         finals = [i in f1 or j in f2 for i, j in pairs]
@@ -354,6 +359,13 @@ def search_max(
     minimal DFA.  Renaming letters commutes with star, reversal and the
     products, so one size also holds for every pair of classes reached
     from a measured one by renaming both sides alike.
+
+    The sampled search is a branch and bound on structural bounds only: a
+    pair can change the report only if its size is strictly above the
+    running maximum, and its size is at most its reachable pair count,
+    which is at most ``|first component| * n``.  Both seeds of a pair are
+    drawn in order whether or not the pair is measured, so the sample
+    stream and the achieving pair do not depend on the pruning.
     """
     if m < 2 or n < 2:
         raise ValueError(f"search needs m, n >= 2, got m={m}, n={n}")
@@ -416,13 +428,18 @@ def search_max(
         rng = SplitMix64(mode.seed)
         for _ in range(mode.samples):
             dM = random_dfa(m, alphabet, rng.next_uint64())
-            dN = random_dfa(n, alphabet, rng.next_uint64())
-            size = _measured_size(first_component(dM, op).dfa, dN, union)
-            examined += 1
-            if size > best:
-                best = size
-                best_pair = (dM, dN)
-        measured = examined
+            n_seed = rng.next_uint64()
+            first = first_component(dM, op).dfa
+            # The pair machine has at most |first| * n states, so a pair
+            # that cannot pass the running maximum is not built at all.
+            if first.state_count * n > best:
+                dN = random_dfa(n, alphabet, n_seed)
+                size = _measured_size(first, dN, union, best)
+                measured += 1
+                if size > best:
+                    best = size
+                    best_pair = (dM, dN)
+        examined = mode.samples
     else:
         raise ValueError(f"unknown search mode: {mode.kind!r}")
     assert best_pair is not None

@@ -428,4 +428,25 @@ def test_search_json_counts_pairs_measured(capsys):
     code, out, _ = run(capsys, *argv, "--samples", "25", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["pairs_measured"] == payload["machines_examined"] == 25
+    assert payload["machines_examined"] == 25
+    assert payload["pairs_measured"] == 25
+    # Under reversal most pairs cannot beat the running maximum, so their
+    # pair machines are never built.
+    argv = ("search", "reversal-union", "--m", "2", "--n", "2", "--sigma", "3")
+    code, out, _ = run(capsys, *argv, "--samples", "25", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["machines_examined"] == 25
+    assert payload["pairs_measured"] == 10
+
+
+def test_search_rejects_seeds_outside_64_bits(capsys):
+    argv = ("search", "star-union", "--m", "2", "--n", "2", "--sigma", "2", "--samples", "3")
+    for seed in ("-1", str(1 << 64)):
+        code, out, err = run(capsys, *argv, "--seed", seed)
+        assert code == 2
+        assert out == ""
+        assert "seed" in err
+    code, out, _ = run(capsys, *argv, "--seed", str((1 << 64) - 1))
+    assert code == 0
+    assert f"seed={(1 << 64) - 1}" in out

@@ -2,6 +2,7 @@ import pytest
 
 from sclab import (
     NEW_START,
+    Alphabet,
     AlphabetMismatch,
     CombinedOp,
     Dfa,
@@ -254,3 +255,100 @@ def test_combined_reversal_acceptance_matches_oracles():
     for w in words_upto(4, 5):
         expect = reverse_membership_oracle(dM, w) or dfa_accepts(dN, w)
         assert dfa_accepts(union.dfa, w) == expect
+
+
+ALPHABETS = [Alphabet(("a", "b", "c")[:sigma]) for sigma in (1, 2, 3)]
+
+
+def random_machines(sizes, per_size=6):
+    """Seeded random machines of every given size over 1 to 3 letters,
+    their starts spread over the states."""
+    for alphabet in ALPHABETS:
+        for m in sizes:
+            for seed in range(per_size):
+                d = random_dfa(m, alphabet, seed * 131 + m)
+                yield Dfa(alphabet, m, seed % m, d.finals, d.delta)
+
+
+def shortest_words(d):
+    """A shortest word leading to each reachable state; None for the rest."""
+    words = [None] * d.state_count
+    words[d.start] = ()
+    queue = [d.start]
+    for q in queue:
+        for a, t in enumerate(d.delta[q]):
+            if words[t] is None:
+                words[t] = words[q] + (a,)
+                queue.append(t)
+    return words
+
+
+def nfa_reached(nf, word):
+    """The states a set simulation of ``nf`` holds after ``word``."""
+    current = set(nf.starts)
+    for s in word:
+        current = {t for q in current for t in nf.delta[q][s]}
+    return frozenset(current)
+
+
+def star_reached(d, word):
+    """The states of ``d`` a star run holds after the non-empty ``word``:
+    every token moves, and a token restarts at the start whenever one
+    reaches a final state."""
+    current = {d.start}
+    for s in word:
+        current = {d.delta[q][s] for q in current}
+        if current & d.finals:
+            current.add(d.start)
+    return frozenset(current)
+
+
+def run_dfa(d, word):
+    q = d.start
+    for s in word:
+        q = d.delta[q][s]
+    return q
+
+
+def test_reversal_first_component_is_the_reference_subset_construction():
+    for d in random_machines(range(1, 6)):
+        for op in (CombinedOp.REVERSAL_UNION, CombinedOp.REVERSAL_INTERSECTION):
+            built = first_component(d, op)
+            reference = determinize(reverse_to_nfa(d))
+            assert built.dfa == reference.dfa, d
+            assert built.labels == reference.labels, d
+            assert built == reference
+
+
+def test_determinize_labels_are_the_simulated_subsets():
+    for d in random_machines(range(1, 6)):
+        nf = reverse_to_nfa(d)
+        sub = determinize(nf)
+        for state, word in enumerate(shortest_words(sub.dfa)):
+            assert sub.labels[state] == nfa_reached(nf, word), (d, word)
+
+
+def test_star_explicit_labels_are_the_simulated_subsets():
+    for d in random_machines(range(2, 6)):
+        if not d.finals - {d.start}:
+            continue
+        sub = star_explicit(d)
+        assert len(sub.labels) == sub.dfa.state_count
+        for state, word in enumerate(shortest_words(sub.dfa)):
+            if word == ():
+                assert sub.labels[state] is NEW_START
+            elif word is not None:
+                assert sub.labels[state] == star_reached(d, word), (d, word)
+
+
+def test_combined_labels_pair_the_states_a_word_reaches():
+    machines = list(random_machines(range(2, 5), per_size=3))
+    for op in CombinedOp:
+        for dM, dN in zip(machines, machines[1:]):
+            if dM.alphabet != dN.alphabet:
+                continue
+            first = first_component(dM, op)
+            sub = combined(dM, dN, op)
+            for state, word in enumerate(shortest_words(sub.dfa)):
+                expected = (first.labels[run_dfa(first.dfa, word)], run_dfa(dN, word))
+                assert sub.labels[state] == expected, (dM, dN, word)

@@ -242,3 +242,54 @@ def test_search_kernel_agrees_with_both_minimisers(op):
                     pipeline = state_complexity(dM, dN, op)
                     oracle = table_filling_minimize(combined(dM, dN, op).dfa)
                     assert kernel == pipeline == oracle.state_count, (dM, dN)
+
+
+def unpruned_search(op, m, n, alphabet, samples, seed):
+    """The sampled search without any pruning: every pair of the stream is
+    measured through the public pipeline, and the first strict maximum
+    wins."""
+    rng = SplitMix64(seed)
+    best, best_pair = -1, None
+    for _ in range(samples):
+        dM = random_dfa(m, alphabet, rng.next_uint64())
+        dN = random_dfa(n, alphabet, rng.next_uint64())
+        size = state_complexity(dM, dN, op)
+        if size > best:
+            best, best_pair = size, (dM, dN)
+    return best, best_pair, samples
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3])
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_sampled_search_matches_the_unpruned_loop(op, sigma):
+    alphabet = Alphabet(("a", "b", "c")[:sigma])
+    for m, n in ((2, 2), (3, 2), (4, 3), (5, 3)):
+        for seed in (0, 7, 0xFFFF_FFFF_FFFF_FFFF):
+            mode = SearchMode.sampled(60, seed)
+            report = search_max(op, m, n, alphabet, mode)
+            best, best_pair, examined = unpruned_search(op, m, n, alphabet, 60, seed)
+            assert report.observed_max == best
+            assert report.achieving_pair == best_pair
+            assert report.machines_examined == examined
+            assert report.pairs_measured <= report.machines_examined
+
+
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_measured_size_is_exact_above_best_and_bounded_below(op):
+    rng = SplitMix64(0xB0B)
+    union = op.boolean_mode == "union"
+    for sigma in (1, 2, 3):
+        alphabet = Alphabet(("a", "b", "c")[:sigma])
+        for m, n in ((2, 2), (3, 3), (4, 3)):
+            for _ in range(4):
+                dM = random_dfa(m, alphabet, rng.next_uint64())
+                dN = random_dfa(n, alphabet, rng.next_uint64())
+                first = first_component(dM, op).dfa
+                exact = state_complexity(dM, dN, op)
+                reachable = combined(dM, dN, op).dfa.state_count
+                for best in {-1, 0, exact - 1, exact, exact + 1, reachable - 1, reachable}:
+                    size = _measured_size(first, dN, union, best)
+                    if exact > best:
+                        assert size == exact, (dM, dN, best)
+                    else:
+                        assert size <= best, (dM, dN, best)
