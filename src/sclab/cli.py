@@ -3,7 +3,7 @@
 ``sc`` measures one witness cell against its closed-form size, ``witness``
 emits a witness machine as text or DOT, ``verify`` checks two user machines
 against the applicable upper bound, ``sweep`` runs (m, n) grids for one or
-more ops as one table (checking every op's caps before measuring anything),
+more ops as one table (checking the caps before measuring anything),
 and ``search`` hunts for worst cases over exhaustive or sampled DFA pairs.
 
 Exit status: 0 on success (bound matched or held), 1 on a mismatch or bound
@@ -46,8 +46,7 @@ from .witnesses import (
 )
 
 BUDGET_ENV_VAR = "SCLAB_PAIR_BUDGET"
-STAR_SWEEP_MAX_M = 12
-REVERSAL_SWEEP_MAX_M = 12
+SWEEP_MAX_M = 12
 SWEEP_MAX_N = 8
 
 _FAMILIES = {
@@ -159,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m", required=True, help="range like 2..8, or one value")
     p_sweep.add_argument("--n", required=True, help="range like 2..6, or one value")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument("--max-m", type=int, help="override every op's m cap")
+    p_sweep.add_argument("--max-m", type=int, help="override the m cap")
     p_sweep.add_argument("--max-n", type=int, help="override the n cap")
 
     p_search = sub.add_parser(
@@ -257,14 +256,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ops = [CombinedOp(name) for name in args.ops]
     m_range = _parse_range(args.m, "m")
     n_range = _parse_range(args.n, "n")
-    for op in ops:
-        cap_m = args.max_m
-        if cap_m is None:
-            cap_m = STAR_SWEEP_MAX_M if op.uses_star else REVERSAL_SWEEP_MAX_M
-        if m_range[0] < 2 or m_range[1] > cap_m:
-            raise UsageError(
-                f"m range {m_range[0]}..{m_range[1]} outside 2..{cap_m} for {op.value}"
-            )
+    cap_m = SWEEP_MAX_M if args.max_m is None else args.max_m
+    if m_range[0] < 2 or m_range[1] > cap_m:
+        raise UsageError(f"m range {m_range[0]}..{m_range[1]} outside 2..{cap_m}")
     cap_n = SWEEP_MAX_N if args.max_n is None else args.max_n
     if n_range[0] < 2 or n_range[1] > cap_n:
         raise UsageError(
@@ -283,13 +277,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _search_mode(args: argparse.Namespace) -> SearchMode:
     if args.exhaustive:
         return SearchMode.exhaustive()
-    if args.samples is None or args.samples < 1:
-        raise UsageError("need --exhaustive or a positive --samples count")
-    # splitmix64 keeps the low 64 bits of a seed, so any other value would
-    # repeat a search in range while printing a different seed.
-    if not 0 <= args.seed < 1 << 64:
-        raise UsageError(f"need 0 <= seed < 2**64, got {args.seed}")
-    return SearchMode.sampled(args.samples, args.seed)
+    try:
+        return SearchMode.sampled(args.samples, args.seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _pair_budget() -> int:

@@ -3,8 +3,7 @@ and the four pipelines combining them.
 
 Subset-valued states carry labels describing what they denote: a frozenset
 of source-machine states, the ``NEW_START`` marker for the injected start of
-the star machine, a plain state index when the first component is a machine
-reused as is, or a ``(first, j)`` pair after a product.
+the star machine, or a ``(first, j)`` pair after a product.
 """
 
 from __future__ import annotations
@@ -140,8 +139,8 @@ def reverse_to_nfa(d: Dfa) -> Nfa:
 def _subset_walk(
     alphabet: Alphabet, columns: list[list[int]], start: int, final_mask: int
 ) -> SubsetDfa:
-    """The subset construction behind ``determinize`` and the reversal
-    component: reachable subsets from the bit-set ``start``, where
+    """The subset construction behind ``determinize`` and the star and
+    reversal components: reachable subsets from the bit-set ``start``, where
     ``columns[a][q]`` is the bit-set of successors of ``q`` on ``a``, final
     iff they meet ``final_mask``.  Labels decode to the subsets as
     frozensets when first read."""
@@ -186,6 +185,24 @@ def _reversal(d: Dfa) -> SubsetDfa:
         for column, q in zip(columns, row):
             column[q] |= bit
     return _subset_walk(d.alphabet, columns, _mask(d.finals), 1 << d.start)
+
+
+def _star(d: Dfa) -> SubsetDfa:
+    """The reachable star machine: a subset walk from a fresh start bit
+    ``m`` that steps like ``d.start``.  Every token moves on each symbol, and
+    a token landing on a final state adds a restart at ``d.start``; a subset
+    is final iff it meets the finals, and the fresh start accepts the empty
+    word.  Works for any machine.  The fresh start is labelled
+    ``NEW_START``, every other state its subset as a frozenset."""
+    m, start_bit = d.state_count, 1 << d.start
+    columns = [
+        [1 << t | start_bit if t in d.finals else 1 << t for t in column]
+        for column in zip(*d.delta)
+    ]
+    for column in columns:
+        column.append(column[d.start])
+    walk = _subset_walk(d.alphabet, columns, 1 << m, _mask(d.finals) | 1 << m)
+    return SubsetDfa._deferred(walk.dfa, lambda: (NEW_START, *walk.labels[1:]))
 
 
 def star_explicit(d: Dfa) -> SubsetDfa:
@@ -243,16 +260,9 @@ def star_generic(d: Dfa) -> Dfa:
     Tokens advance through ``d`` in parallel; whenever one lands on a final
     state a new token is started at ``d.start``, and the empty word is
     accepted at a fresh start state.  Works for any machine and guarantees
-    nothing about the state count.  Built as the subset construction of the
-    NFA that adds the restarts as edges and the fresh start as state ``m``.
+    nothing about the state count.
     """
-    m = d.state_count
-    cells = [
-        [{t, d.start} if t in d.finals else {t} for t in row] for row in d.delta
-    ]
-    cells.append(cells[d.start])
-    star = Nfa(d.alphabet, m + 1, {m}, d.finals | {m}, cells)
-    return determinize(star).dfa
+    return _star(d).dfa
 
 
 def pair_rows(
@@ -298,30 +308,10 @@ def product(d1: Dfa, d2: Dfa, mode: BooleanMode) -> SubsetDfa:
     return SubsetDfa(dfa, tuple(pairs))
 
 
-def epsilon_only_dfa(alphabet: Alphabet) -> Dfa:
-    """Two-state machine accepting only the empty word."""
-    sigma = len(alphabet)
-    return Dfa(alphabet, 2, 0, frozenset({0}), ((1,) * sigma, (1,) * sigma))
-
-
 def first_component(d: Dfa, op: CombinedOp) -> SubsetDfa:
-    """The star or reversal half of a combined pipeline.
-
-    Reversal ops determinize the reversed machine.  Star ops use the
-    explicit star machine when some final differs from the start; otherwise
-    the star adds nothing (start final: the language is its own star) or
-    collapses to the empty word (no finals at all), and the component is the
-    machine itself or the two-state empty-word machine.  In those two cases
-    the labels are plain state indices.
-    """
-    if not op.uses_star:
-        return _reversal(d)
-    if d.finals - {d.start}:
-        return star_explicit(d)
-    if d.start in d.finals:
-        return SubsetDfa(d, tuple(range(d.state_count)))
-    eps = epsilon_only_dfa(d.alphabet)
-    return SubsetDfa(eps, tuple(range(eps.state_count)))
+    """The star or reversal half of a combined pipeline: the reachable
+    subset walk of the star machine or of the reversed machine."""
+    return _star(d) if op.uses_star else _reversal(d)
 
 
 def combined(dM: Dfa, dN: Dfa, op: CombinedOp) -> SubsetDfa:

@@ -236,6 +236,17 @@ class SearchMode:
     samples: int = 0
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.kind not in ("exhaustive", "sampled"):
+            raise ValueError(f"unknown search mode: {self.kind!r}")
+        if self.kind == "sampled":
+            if self.samples < 1:
+                raise ValueError(f"need a positive sample count, got {self.samples}")
+            # splitmix64 keeps the low 64 bits of a seed, so any other value
+            # would repeat a search in range while reporting a different seed.
+            if not 0 <= self.seed <= _MASK64:
+                raise ValueError(f"need 0 <= seed < 2**64, got {self.seed}")
+
     @staticmethod
     def exhaustive() -> "SearchMode":
         return SearchMode("exhaustive")
@@ -420,9 +431,7 @@ def search_max(
                 j = min(n_first[cn] for cn in range(width) if row[cn] == best)
                 best_pair = (ms[i], ns[j])
                 break
-    elif mode.kind == "sampled":
-        if mode.samples < 1:
-            raise ValueError("sampled mode needs a positive sample count")
+    else:
         if mode.samples > pair_budget:
             raise BudgetExceeded(mode.samples, pair_budget, "pairs")
         rng = SplitMix64(mode.seed)
@@ -440,8 +449,6 @@ def search_max(
                     best = size
                     best_pair = (dM, dN)
         examined = mode.samples
-    else:
-        raise ValueError(f"unknown search mode: {mode.kind!r}")
     assert best_pair is not None
     recheck = state_complexity(best_pair[0], best_pair[1], op)
     if recheck != best:

@@ -263,30 +263,43 @@ def test_sweep_several_ops_make_one_table(capsys):
 
 
 def test_sweep_checks_every_op_cap_before_measuring(capsys, monkeypatch):
-    # the default caps are equal; lower one so the ops' caps differ
-    monkeypatch.setattr(cli, "REVERSAL_SWEEP_MAX_M", 10)
-    code, out, err = run(
-        capsys, "sweep", "star-union", "reversal-union", "--m", "2..11", "--n", "2"
-    )
-    assert code == 2
-    assert out == ""
-    assert "outside 2..10 for reversal-union" in err
-
-
-def test_sweep_reversal_cap_is_twelve(capsys, monkeypatch):
-    code, out, _ = run(capsys, "sweep", "reversal-union", "--m", "12", "--n", "2")
-    assert code == 0
-    assert out.splitlines()[1].startswith("reversal-union,12,2,")
-
     def measure(*args):
         raise AssertionError("a cell was measured past the cap")
 
     monkeypatch.setattr(cli, "sweep_records", measure)
-    for op in ("reversal-union", "reversal-intersection"):
-        code, out, err = run(capsys, "sweep", op, "--m", "2..13", "--n", "2")
+    ops = [op.value for op in CombinedOp]
+    code, out, err = run(capsys, "sweep", *ops, "--m", "2..13", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "outside 2..12" in err
+    code, out, err = run(
+        capsys, "sweep", *ops, "--m", "2..12", "--n", "2", "--max-m", "11"
+    )
+    assert code == 2
+    assert out == ""
+    assert "outside 2..11" in err
+
+
+def test_sweep_cap_is_twelve_for_every_op(capsys, monkeypatch):
+    code, out, _ = run(capsys, "sweep", "reversal-union", "--m", "12", "--n", "2")
+    assert code == 0
+    assert out.splitlines()[1].startswith("reversal-union,12,2,")
+
+    calls = []
+
+    def measure(op, m_range, n_range):
+        calls.append((op, m_range))
+        return []
+
+    monkeypatch.setattr(cli, "sweep_records", measure)
+    for op in CombinedOp:
+        code, out, err = run(capsys, "sweep", op.value, "--m", "2..13", "--n", "2")
         assert code == 2
         assert out == ""
-        assert f"outside 2..12 for {op}" in err
+        assert "outside 2..12" in err
+        code, _, _ = run(capsys, "sweep", op.value, "--m", "12", "--n", "2")
+        assert code == 0
+    assert calls == [(op, (12, 12)) for op in CombinedOp]
 
 
 def test_readme_command_lines_parse():

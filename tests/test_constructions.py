@@ -11,7 +11,7 @@ from sclab import (
     combined,
     determinize,
     dfa_accepts,
-    epsilon_only_dfa,
+    enumerate_dfas,
     first_component,
     minimize,
     nfa_accepts,
@@ -194,15 +194,6 @@ def test_product_rejects_bad_inputs():
         product(star_witness_n(2), reversal_witness_m(2), "union")
 
 
-def test_epsilon_only_dfa():
-    d = epsilon_only_dfa(AB)
-    assert d.state_count == 2
-    assert dfa_accepts(d, ())
-    for w in words_upto(2, 3):
-        if w:
-            assert not dfa_accepts(d, w)
-
-
 def test_first_component_dispatch():
     star = first_component(star_witness_m(3), CombinedOp.STAR_UNION)
     assert star.labels[0] is NEW_START
@@ -210,16 +201,14 @@ def test_first_component_dispatch():
     rev = first_component(reversal_witness_m(3), CombinedOp.REVERSAL_UNION)
     assert all(isinstance(lbl, frozenset) for lbl in rev.labels)
 
+    # a machine with no final besides the start takes the same star walk
     start_final = mkdfa(STAR_ALPHABET, [(0, 0, 1), (1, 1, 0)], {0})
-    same = first_component(start_final, CombinedOp.STAR_INTERSECTION)
-    assert same.dfa is start_final
-    assert same.labels == (0, 1)
-
     no_finals = mkdfa(STAR_ALPHABET, [(0, 0, 1), (1, 1, 0)], set())
-    eps = first_component(no_finals, CombinedOp.STAR_UNION)
-    assert eps.dfa.state_count == 2
-    assert dfa_accepts(eps.dfa, ())
-    assert not dfa_accepts(eps.dfa, (2,))
+    for d in (start_final, no_finals):
+        sub = first_component(d, CombinedOp.STAR_INTERSECTION)
+        assert sub.labels[0] is NEW_START
+        for w in words_upto(3, 5):
+            assert dfa_accepts(sub.dfa, w) == star_membership_oracle(d, w), (d, w)
 
 
 def test_combined_pairs_labels_and_counts():
@@ -352,3 +341,54 @@ def test_combined_labels_pair_the_states_a_word_reaches():
             for state, word in enumerate(shortest_words(sub.dfa)):
                 expected = (first.labels[run_dfa(first.dfa, word)], run_dfa(dN, word))
                 assert sub.labels[state] == expected, (dM, dN, word)
+
+
+def star_machines():
+    """Every 1- to 3-state DFA on two letters, then seeded random machines
+    of 1 to 5 states on three letters with their starts spread over the
+    states."""
+    for m in (1, 2, 3):
+        machines = []
+        enumerate_dfas(m, AB, machines.append)
+        yield from machines
+    abc = Alphabet(("a", "b", "c"))
+    for seed in range(100):
+        m = 1 + seed % 5
+        d = random_dfa(m, abc, seed)
+        yield Dfa(abc, m, seed // 5 % m, d.finals, d.delta)
+
+
+def test_star_walk_accepts_the_star_within_the_explicit_count():
+    words = {sigma: list(words_upto(sigma, 6)) for sigma in (2, 3)}
+    # the star depends only on the language, so the oracle runs once per
+    # minimal DFA; the walk is built and run for every machine
+    stars = {}
+    for d in star_machines():
+        key = minimize(d)
+        if key not in stars:
+            stars[key] = [star_membership_oracle(d, w) for w in words[d.sigma]]
+        sub = first_component(d, CombinedOp.STAR_UNION)
+        accepted = [dfa_accepts(sub.dfa, w) for w in words[d.sigma]]
+        assert accepted == stars[key], d
+        m, k = d.state_count, len(d.finals - {d.start})
+        if k:
+            assert minimize(sub.dfa) == minimize(star_explicit(d).dfa), d
+            assert sub.dfa.state_count <= 2 ** (m - 1) + 2 ** (m - k - 1), d
+
+
+def test_star_walk_reaches_the_explicit_count_on_the_witnesses():
+    for m in range(2, 11):
+        d = star_witness_m(m)
+        k = len(d.finals - {d.start})
+        sub = first_component(d, CombinedOp.STAR_UNION)
+        assert sub.dfa.state_count == 2 ** (m - 1) + 2 ** (m - k - 1), m
+
+
+def test_star_walk_labels_are_the_simulated_subsets():
+    for d in star_machines():
+        sub = first_component(d, CombinedOp.STAR_INTERSECTION)
+        assert sub.labels[0] is NEW_START
+        assert not any(label is NEW_START for label in sub.labels[1:]), d
+        for state, word in enumerate(shortest_words(sub.dfa)):
+            if state:
+                assert sub.labels[state] == star_reached(d, word), (d, word)

@@ -137,6 +137,18 @@ def test_search_modes():
     assert (sampled.samples, sampled.seed) == (10, 3)
 
 
+def test_search_mode_validates_itself():
+    with pytest.raises(ValueError, match="seed"):
+        search_max(CombinedOp.STAR_UNION, 2, 2, AB, SearchMode.sampled(20, -1))
+    with pytest.raises(ValueError, match="seed"):
+        SearchMode("sampled", 5, 1 << 64)
+    with pytest.raises(ValueError, match="sample count"):
+        SearchMode.sampled(0, 0)
+    with pytest.raises(ValueError, match="unknown search mode"):
+        SearchMode("bogus")
+    assert SearchMode.sampled(1, (1 << 64) - 1).seed == (1 << 64) - 1
+
+
 def test_search_max_small_exhaustive_star():
     report = search_max(
         CombinedOp.STAR_UNION, 2, 2, AB, SearchMode.exhaustive()
