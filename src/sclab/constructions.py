@@ -158,7 +158,7 @@ def _subset_walk(
             row.append(t)
         rows.append(tuple(row))
     finals = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
-    dfa = Dfa(alphabet, len(order), 0, finals, tuple(rows))
+    dfa = Dfa._trusted(alphabet, len(order), 0, finals, tuple(rows))
     return SubsetDfa._deferred(dfa, lambda: map(_mask_to_frozenset, order))
 
 
@@ -248,21 +248,10 @@ def star_explicit(d: Dfa) -> SubsetDfa:
     finals = frozenset({0}) | frozenset(
         index[mask] for mask in members if mask & final_mask
     )
-    dfa = Dfa(d.alphabet, 1 + len(members), 0, finals, tuple(rows))
+    dfa = Dfa._trusted(d.alphabet, 1 + len(members), 0, finals, tuple(rows))
     return SubsetDfa._deferred(
         dfa, lambda: (NEW_START, *map(_mask_to_frozenset, members))
     )
-
-
-def star_generic(d: Dfa) -> Dfa:
-    """Star DFA by reachable subset construction, as a cross-check.
-
-    Tokens advance through ``d`` in parallel; whenever one lands on a final
-    state a new token is started at ``d.start``, and the empty word is
-    accepted at a fresh start state.  Works for any machine and guarantees
-    nothing about the state count.
-    """
-    return _star(d).dfa
 
 
 def pair_rows(
@@ -304,7 +293,7 @@ def product(d1: Dfa, d2: Dfa, mode: BooleanMode) -> SubsetDfa:
         finals = frozenset(t for t, (i, j) in enumerate(pairs) if i in f1 or j in f2)
     else:
         finals = frozenset(t for t, (i, j) in enumerate(pairs) if i in f1 and j in f2)
-    dfa = Dfa(d1.alphabet, len(pairs), 0, finals, tuple(rows))
+    dfa = Dfa._trusted(d1.alphabet, len(pairs), 0, finals, tuple(rows))
     return SubsetDfa(dfa, tuple(pairs))
 
 

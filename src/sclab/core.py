@@ -2,20 +2,24 @@
 
 States are dense 0-based indices and symbols are addressed by their index in
 the alphabet; subset states in the construction modules are bit-sets over
-these indices.  Constructors normalise their fields, so structural equality
-(``==``) is meaningful and canonical forms can be compared directly.
+these indices.  Constructors normalise and check their fields, so structural
+equality (``==``) is meaningful and canonical forms can be compared directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
 
 
 class AlphabetMismatch(ValueError):
     """Raised by binary operations when the two machines' alphabets differ."""
+
+
+class InvalidDfa(ValueError):
+    """A ``Dfa``'s fields do not make a complete DFA; the message names why."""
 
 
 @dataclass(frozen=True)
@@ -57,21 +61,72 @@ class Alphabet:
 class Dfa:
     """Complete deterministic automaton.
 
-    ``delta[state][symbol]`` is the target state.  A ``None`` entry (or a
-    short row) marks a missing transition and is only meaningful as input to
-    ``validate_dfa`` and ``complete_dfa``; everything else expects complete
-    machines.  State numbers carry no meaning beyond identity.
+    ``delta[state][symbol]`` is the target state; state numbers carry no
+    meaning beyond identity.  Construction checks that there is a state, that
+    the start, finals and targets are states and that each state has one
+    transition per symbol, and raises ``InvalidDfa`` on the first failure.
     """
 
     alphabet: Alphabet
     state_count: int
     start: int
     finals: frozenset[int]
-    delta: tuple[tuple[int | None, ...], ...]
+    delta: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "finals", frozenset(self.finals))
         object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
+        problem = self._first_problem()
+        if problem is not None:
+            raise InvalidDfa(problem)
+
+    def _first_problem(self) -> str | None:
+        m = self.state_count
+        if m < 1:
+            return f"state count must be positive, got {m}"
+        if not 0 <= self.start < m:
+            return f"start state {self.start} out of range for {m} states"
+        for q in sorted(self.finals):
+            if not 0 <= q < m:
+                return f"final state {q} out of range for {m} states"
+        if len(self.delta) != m:
+            return f"transition table has {len(self.delta)} rows for {m} states"
+        names = self.alphabet.symbols
+        for q, row in enumerate(self.delta):
+            if len(row) > len(names):
+                return f"state {q} has {len(row)} transitions for {len(names)} symbols"
+            for a, name in enumerate(names):
+                t = row[a] if a < len(row) else None
+                if t is None:
+                    return f"missing transition from state {q} on symbol {name!r}"
+                if not 0 <= t < m:
+                    return (
+                        f"transition from state {q} on symbol {name!r} "
+                        f"targets {t}, out of range for {m} states"
+                    )
+        return None
+
+    @classmethod
+    def _trusted(
+        cls,
+        alphabet: Alphabet,
+        state_count: int,
+        start: int,
+        finals: frozenset[int],
+        delta: tuple[tuple[int, ...], ...],
+    ) -> Dfa:
+        """A machine from fields that are already normalised and valid, set
+        without copying or checking: for builders whose output is a complete
+        DFA by construction."""
+        d = cls.__new__(cls)
+        d.__dict__.update(
+            alphabet=alphabet,
+            state_count=state_count,
+            start=start,
+            finals=finals,
+            delta=delta,
+        )
+        return d
 
     @property
     def sigma(self) -> int:
@@ -105,71 +160,30 @@ class Nfa:
         return len(self.alphabet.symbols)
 
 
-def validate_dfa(d: Dfa) -> list[str]:
-    """Diagnostics for every violated invariant; an empty list means valid."""
-    out: list[str] = []
-    m = d.state_count
-    if m < 1:
-        out.append(f"state count must be positive, got {m}")
-        return out
-    names = d.alphabet.symbols
-    sigma = len(names)
-    if not 0 <= d.start < m:
-        out.append(f"start state {d.start} out of range for {m} states")
-    for q in sorted(d.finals):
-        if not 0 <= q < m:
-            out.append(f"final state {q} out of range for {m} states")
-    if len(d.delta) != m:
-        out.append(f"transition table has {len(d.delta)} rows for {m} states")
-    for q, row in enumerate(d.delta[:m]):
-        if len(row) > sigma:
-            out.append(f"state {q} has {len(row)} transitions for {sigma} symbols")
-        for a in range(sigma):
-            t = row[a] if a < len(row) else None
-            if t is None:
-                out.append(f"missing transition from state {q} on symbol {names[a]!r}")
-            elif not 0 <= t < m:
-                out.append(
-                    f"transition from state {q} on symbol {names[a]!r} "
-                    f"targets {t}, out of range for {m} states"
-                )
-    return out
+def complete_dfa(
+    alphabet: Alphabet,
+    state_count: int,
+    start: int,
+    finals: Iterable[int],
+    rows: Sequence[Sequence[int | None]],
+) -> Dfa:
+    """A complete machine from a partial table.
 
-
-def complete_dfa(d: Dfa) -> Dfa:
-    """Complete ``d`` by routing every missing transition to a fresh sink.
-
-    The sink is non-final and added only when some transition is actually
-    missing, so the accepted language is unchanged and an already complete
-    machine is returned as is.  All present indices must be valid.
+    ``rows[q][a]`` is the target of state ``q`` on symbol ``a``; a ``None``
+    entry or a short row marks a missing transition.  Every missing
+    transition goes to one fresh non-final sink, added only when some
+    transition is missing, so the accepted language is unchanged.  The
+    present pieces are checked as a ``Dfa`` of ``state_count`` states, each
+    gap held by a self-loop, so they cannot name the sink.
     """
-    m, sigma = d.state_count, d.sigma
-    if m < 1:
-        raise ValueError(f"state count must be positive, got {m}")
-    if not 0 <= d.start < m or any(not 0 <= q < m for q in d.finals):
-        raise ValueError("start or final state out of range")
-    if len(d.delta) != m:
-        raise ValueError(f"transition table has {len(d.delta)} rows for {m} states")
-    missing = False
-    for row in d.delta:
-        if len(row) > sigma:
-            raise ValueError("transition row longer than the alphabet")
-        if any(t is not None and not 0 <= t < m for t in row):
-            raise ValueError("transition target out of range")
-        if len(row) < sigma or any(t is None for t in row):
-            missing = True
-    if not missing:
+    sigma, sink = len(alphabet), state_count
+    padded = [tuple(row) + (None,) * (sigma - len(row)) for row in rows]
+    held = [[q if t is None else t for t in row] for q, row in enumerate(padded)]
+    d = Dfa(alphabet, state_count, start, finals, held)
+    if not any(None in row for row in padded):
         return d
-    sink = m
-    rows = [
-        tuple(
-            row[a] if a < len(row) and row[a] is not None else sink
-            for a in range(sigma)
-        )
-        for row in d.delta
-    ]
-    rows.append((sink,) * sigma)
-    return Dfa(d.alphabet, m + 1, d.start, d.finals, tuple(rows))
+    delta = [tuple(sink if t is None else t for t in row) for row in padded]
+    return Dfa._trusted(alphabet, sink + 1, start, d.finals, (*delta, (sink,) * sigma))
 
 
 def dfa_accepts(d: Dfa, word: Sequence[int]) -> bool:
@@ -228,7 +242,7 @@ def relabel_canonical(d: Dfa) -> Dfa:
     """
     order, rows, finals = reachable(d)
     flagged = frozenset(pos for pos, final in enumerate(finals) if final)
-    return Dfa(d.alphabet, len(order), 0, flagged, tuple(rows))
+    return Dfa._trusted(d.alphabet, len(order), 0, flagged, tuple(rows))
 
 
 def require_same_alphabet(d1: Dfa | Nfa, d2: Dfa | Nfa) -> None:

@@ -143,7 +143,7 @@ def minimize(d: Dfa) -> Dfa:
     number, reps = _first_appearance(block_of, count)
     delta = tuple([tuple([number[block_of[t]] for t in rows[r]]) for r in reps])
     qfinals = frozenset(i for i, r in enumerate(reps) if finals[r])
-    return Dfa(d.alphabet, count, 0, qfinals, delta)
+    return Dfa._trusted(d.alphabet, count, 0, qfinals, delta)
 
 
 def equivalent(d1: Dfa, d2: Dfa) -> bool:

@@ -208,7 +208,7 @@ def enumerate_dfas(
     for flat in itertools.product(range(states), repeat=states * sigma):
         rows = tuple(flat[q * sigma : (q + 1) * sigma] for q in range(states))
         for finals in final_sets:
-            consumer(Dfa(alphabet, states, 0, finals, rows))
+            consumer(Dfa._trusted(alphabet, states, 0, finals, rows))
             count += 1
     return count
 
@@ -225,7 +225,7 @@ def random_dfa(states: int, alphabet: Alphabet, seed: int) -> Dfa:
         tuple(rng.below(states) for _ in range(sigma)) for _ in range(states)
     )
     finals = frozenset(q for q in range(states) if rng.next_uint64() & 1)
-    return Dfa(alphabet, states, 0, finals, rows)
+    return Dfa._trusted(alphabet, states, 0, finals, rows)
 
 
 @dataclass(frozen=True)
@@ -336,7 +336,7 @@ def _letter_swaps(distinct: list[Dfa]) -> list[list[int]]:
                 row[:a] + (row[a + 1], row[a]) + row[a + 2 :] for row in key.delta
             )
             renamed = minimize(
-                Dfa(key.alphabet, key.state_count, key.start, key.finals, rows)
+                Dfa._trusted(key.alphabet, key.state_count, key.start, key.finals, rows)
             )
             c = number.get(renamed)
             if c is None:

@@ -120,7 +120,7 @@ def parse_dfa(text: str) -> Dfa:
     if pos < len(rows):
         line, tokens = rows[pos]
         raise ParseError(line, f"unexpected trailing content: {' '.join(tokens)!r}")
-    return Dfa(alphabet, state_count, start, frozenset(finals), tuple(tuple(r) for r in table))
+    return Dfa(alphabet, state_count, start, finals, table)
 
 
 def format_dfa(d: Dfa) -> str:

@@ -156,9 +156,10 @@ def pipeline_bound(op: CombinedOp, m: int, n: int, k: int) -> int:
     """Worst-case minimal size for ``op`` on an m-state machine with ``k``
     finals other than the start and an n-state machine.
 
-    Sound for every input pair, not only worst-case witnesses: star ops fall
-    back to ``m * n`` when ``k == 0`` (the star then adds at most a two-state
-    empty-word machine), and reversal ops use ``2**m * n - n + 1`` for any
+    Sound for every input pair, not only worst-case witnesses.  With
+    ``k == 0`` a star op's first language needs at most m states (L* = L
+    when the start is the only final, L* = {empty word} with no finals), so
+    ``m * n`` holds; reversal ops use ``2**m * n - n + 1`` for any
     ``m >= 1``.
     """
     if n < 1:

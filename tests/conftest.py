@@ -19,6 +19,11 @@ def mkdfa(
     return Dfa(alphabet, len(rows), start, frozenset(finals), tuple(rows))
 
 
+def rebuilt(d: Dfa) -> Dfa:
+    """``d`` built again through the checked constructor."""
+    return Dfa(d.alphabet, d.state_count, d.start, d.finals, d.delta)
+
+
 def words_upto(sigma: int, maxlen: int) -> Iterator[Word]:
     """Every word over symbol indices 0..sigma-1 of length at most maxlen."""
     for length in range(maxlen + 1):

@@ -19,7 +19,6 @@ from sclab import (
     relabel_canonical,
     reverse_to_nfa,
     star_explicit,
-    star_generic,
     equivalent,
 )
 from sclab.oracle import random_dfa, reverse_membership_oracle, star_membership_oracle
@@ -150,23 +149,6 @@ def test_star_explicit_matches_membership_oracle():
         sub = star_explicit(d)
         for w in words_upto(d.sigma, 6):
             assert dfa_accepts(sub.dfa, w) == star_membership_oracle(d, w)
-
-
-def test_star_generic_agrees_with_star_explicit():
-    for m in range(2, 7):
-        d = star_witness_m(m)
-        assert equivalent(star_generic(d), star_explicit(d).dfa)
-
-
-def test_star_generic_handles_the_degenerate_cases():
-    start_final = mkdfa(AB, [(0, 1), (1, 0)], {0})
-    g = star_generic(start_final)
-    for w in words_upto(2, 6):
-        assert dfa_accepts(g, w) == star_membership_oracle(start_final, w)
-    no_finals = mkdfa(AB, [(0, 1), (1, 0)], set())
-    g2 = star_generic(no_finals)
-    for w in words_upto(2, 4):
-        assert dfa_accepts(g2, w) == (len(w) == 0)
 
 
 def test_product_union_and_intersection_finals():
@@ -382,6 +364,7 @@ def test_star_walk_reaches_the_explicit_count_on_the_witnesses():
         k = len(d.finals - {d.start})
         sub = first_component(d, CombinedOp.STAR_UNION)
         assert sub.dfa.state_count == 2 ** (m - 1) + 2 ** (m - k - 1), m
+        assert equivalent(sub.dfa, star_explicit(d).dfa), m
 
 
 def test_star_walk_labels_are_the_simulated_subsets():

@@ -4,13 +4,13 @@ from sclab import (
     Alphabet,
     AlphabetMismatch,
     Dfa,
+    InvalidDfa,
     Nfa,
     complete_dfa,
     dfa_accepts,
     nfa_accepts,
     relabel_canonical,
     require_same_alphabet,
-    validate_dfa,
 )
 from sclab.witnesses import (
     REVERSAL_ALPHABET,
@@ -19,7 +19,7 @@ from sclab.witnesses import (
     star_witness_n,
 )
 
-from conftest import AB, mkdfa
+from conftest import AB, mkdfa, rebuilt
 
 
 def test_alphabet_index_and_word():
@@ -58,38 +58,85 @@ def test_nfa_normalises_fields_and_allows_empty_starts():
 
 
 def test_validate_accepts_witnesses():
-    assert validate_dfa(star_witness_n(3)) == []
-    assert validate_dfa(reversal_witness_m(4)) == []
+    for d in (star_witness_n(3), reversal_witness_m(4)):
+        assert rebuilt(d) == d
+
+
+def check_message(fields, expected):
+    with pytest.raises(InvalidDfa) as err:
+        Dfa(*fields)
+    assert str(err.value) == expected
 
 
 def test_validate_names_missing_transition():
-    d = Dfa(AB, 2, 0, frozenset(), ((1, None), (0, 0)))
-    problems = validate_dfa(d)
-    assert problems == ["missing transition from state 0 on symbol 'b'"]
+    check_message(
+        (AB, 2, 0, frozenset(), ((1, None), (0, 0))),
+        "missing transition from state 0 on symbol 'b'",
+    )
+    check_message(
+        (AB, 2, 0, frozenset(), ((1, 0), (0,))),
+        "missing transition from state 1 on symbol 'b'",
+    )
 
 
 def test_validate_reports_out_of_range_pieces():
-    d = Dfa(AB, 2, 5, frozenset({3}), ((1, 9), (0, 0)))
-    problems = validate_dfa(d)
-    assert any("start state 5" in p for p in problems)
-    assert any("final state 3" in p for p in problems)
-    assert any("targets 9" in p for p in problems)
+    check_message(
+        (AB, 2, 5, frozenset(), ((1, 0), (0, 0))),
+        "start state 5 out of range for 2 states",
+    )
+    check_message(
+        (AB, 2, 0, frozenset({3}), ((1, 0), (0, 0))),
+        "final state 3 out of range for 2 states",
+    )
+    check_message(
+        (AB, 2, 0, frozenset(), ((1, 9), (0, 0))),
+        "transition from state 0 on symbol 'b' targets 9, out of range for 2 states",
+    )
+    check_message(
+        (AB, 2, 0, frozenset(), ((1, 0), (0, 0, 1))),
+        "state 1 has 3 transitions for 2 symbols",
+    )
+    check_message((AB, 0, 0, frozenset(), ()), "state count must be positive, got 0")
+    # the first problem in checking order is the one reported
+    check_message(
+        (AB, 2, 5, frozenset({3}), ((1, 9), (0, 0))),
+        "start state 5 out of range for 2 states",
+    )
 
 
 def test_validate_reports_row_count():
-    d = Dfa(AB, 2, 0, frozenset(), ((0, 0),))
-    assert any("1 rows for 2 states" in p for p in validate_dfa(d))
+    check_message(
+        (AB, 2, 0, frozenset(), ((0, 0),)), "transition table has 1 rows for 2 states"
+    )
+
+
+def test_broken_machines_fail_at_construction():
+    # each of these once gave a wrong state complexity or a deep IndexError
+    # or TypeError; now construction refuses it and names the problem
+    rows = ((1, 0), (0, 1))
+    broken = {
+        "final state 5 out of range": (AB, 2, 0, {5}, rows),
+        "targets -1, out of range": (AB, 2, 0, {1}, ((1, -1), (0, 1))),
+        "start state 9 out of range": (AB, 2, 9, {1}, rows),
+        "transition table has 2 rows for 3 states": (AB, 3, 0, {1}, rows),
+        "missing transition from state 1 on symbol 'a'": (
+            AB, 2, 0, {1}, ((1, 0), (None, 1))
+        ),
+    }
+    for problem, fields in broken.items():
+        with pytest.raises(InvalidDfa, match=problem):
+            Dfa(*fields)
+    assert issubclass(InvalidDfa, ValueError)
 
 
 def test_complete_returns_complete_machine_unchanged():
-    d = star_witness_n(2)
-    assert complete_dfa(d) is d
+    full = complete_dfa(AB, 2, 0, {1}, [(1, 0), [0, 1]])
+    assert full == Dfa(AB, 2, 0, frozenset({1}), ((1, 0), (0, 1)))
 
 
 def test_complete_adds_single_nonfinal_sink():
-    partial = Dfa(AB, 2, 0, frozenset({1}), ((1, None), (None, 1)))
-    full = complete_dfa(partial)
-    assert validate_dfa(full) == []
+    full = complete_dfa(AB, 2, 0, {1}, ((1, None), (None, 1)))
+    assert rebuilt(full) == full
     assert full.state_count == 3
     assert 2 not in full.finals
     assert full.delta[0] == (1, 2)
@@ -98,13 +145,22 @@ def test_complete_adds_single_nonfinal_sink():
     # the sink traps, so old behaviour is preserved on defined paths
     assert dfa_accepts(full, (0,))
     assert not dfa_accepts(full, (1,))
+    # a short row is missing its last transitions, and gets the same sink
+    assert complete_dfa(AB, 2, 0, {1}, ((1,), (None, 1))) == full
 
 
 def test_complete_rejects_broken_machines():
-    with pytest.raises(ValueError):
-        complete_dfa(Dfa(AB, 2, 0, frozenset(), ((5, 0), (0, 0))))
-    with pytest.raises(ValueError):
-        complete_dfa(Dfa(AB, 2, 3, frozenset(), ((0, 0), (0, 0))))
+    with pytest.raises(InvalidDfa, match="targets 5"):
+        complete_dfa(AB, 2, 0, (), ((5, 0), (0, 0)))
+    with pytest.raises(InvalidDfa, match="start state 3"):
+        complete_dfa(AB, 2, 3, (), ((0, 0), (0, 0)))
+    with pytest.raises(InvalidDfa, match="start state 2 out of range for 2 states"):
+        complete_dfa(AB, 2, 2, (), ((0, None), (0, 0)))
+    with pytest.raises(InvalidDfa, match="state 0 has 3 transitions for 2 symbols"):
+        complete_dfa(AB, 2, 0, (), ((0, None, 1), (0, 0)))
+    # a present target cannot name the sink that completion would add
+    with pytest.raises(InvalidDfa, match="targets 2, out of range for 2 states"):
+        complete_dfa(AB, 2, 0, (), ((2, None), (0, 0)))
 
 
 def test_dfa_accepts_star_n_cycle():

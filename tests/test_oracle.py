@@ -4,19 +4,24 @@ from sclab import (
     Alphabet,
     BudgetExceeded,
     CombinedOp,
+    Dfa,
     SearchMode,
     SplitMix64,
     bounded_language_equal,
     combined,
+    complete_dfa,
     dfa_accepts,
     dfa_space_size,
     enumerate_dfas,
     equivalent,
     first_component,
     minimize,
+    product,
     random_dfa,
+    relabel_canonical,
     reverse_membership_oracle,
     search_max,
+    star_explicit,
     star_membership_oracle,
     state_complexity,
     table_filling_minimize,
@@ -29,7 +34,7 @@ from sclab.witnesses import (
     star_witness_n,
 )
 
-from conftest import AB, mkdfa, words_upto
+from conftest import AB, mkdfa, rebuilt, words_upto
 
 A1 = Alphabet(("a",))
 
@@ -126,9 +131,40 @@ def test_random_dfa_is_seed_deterministic():
     assert d1 != d3
     assert d1.start == 0
     assert d1.state_count == 4
-    from sclab import validate_dfa
 
-    assert validate_dfa(d1) == []
+
+def assert_rebuilds(d):
+    """``d`` equals, and hashes like, its rebuild through the checked
+    constructor: a trusted builder that left a list or a set in a field, or
+    an invalid field, fails here."""
+    again = rebuilt(d)
+    assert again == d and hash(again) == hash(d), d
+
+
+def test_trusted_builders_match_the_checked_constructor():
+    machines = []
+    for alphabet in (A1, AB):
+        for m in (1, 2):
+            enumerate_dfas(m, alphabet, machines.append)
+    assert len(machines) == 2 + 16 + 2 + 64
+    for seed in range(40):
+        m = 1 + seed % 5
+        d = random_dfa(m, STAR_ALPHABET, seed)
+        machines.append(d)
+        machines.append(Dfa(d.alphabet, m, seed // 5 % m, d.finals, d.delta))
+    for d in machines:
+        assert_rebuilds(d)
+        assert_rebuilds(minimize(d))
+        assert_rebuilds(relabel_canonical(d))
+        for op in (CombinedOp.STAR_UNION, CombinedOp.REVERSAL_UNION):
+            assert_rebuilds(first_component(d, op).dfa)
+        if d.finals - {d.start}:
+            assert_rebuilds(star_explicit(d).dfa)
+    for d1, d2 in zip(machines, machines[1:]):
+        if d1.alphabet == d2.alphabet:
+            for mode in ("union", "intersection"):
+                assert_rebuilds(product(d1, d2, mode).dfa)
+    assert_rebuilds(complete_dfa(AB, 2, 0, {1}, ((1, None), (0,))))
 
 
 def test_search_modes():
