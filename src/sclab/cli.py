@@ -6,10 +6,14 @@ against the applicable upper bound, ``sweep`` runs (m, n) grids for one or
 more ops as one table (checking the caps before measuring anything),
 and ``search`` hunts for worst cases over exhaustive or sampled DFA pairs.
 
+The library checks sizes, machines, search modes and budgets; this module
+checks only what the command line alone knows (flags, ranges, files, caps).
 Exit status: 0 on success (bound matched or held), 1 on a mismatch or bound
-violation, 2 on usage or parse errors, including budget refusals.  Output is
-deterministic for fixed arguments except for the ``elapsed_ms`` timing
-field.
+violation, 2 when ``main`` catches a ``ValueError`` (the library's domain
+checks, ``InvalidDfa``, ``AlphabetMismatch``, ``ParseError``,
+``StarPrecondition``, ``UsageError``) or a ``BudgetExceeded``.  Nothing else
+maps an error to 2, so an internal fault propagates with its traceback.
+Output is deterministic for fixed arguments except for ``elapsed_ms``.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ import os
 import string
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Sequence
 
 from .constructions import CombinedOp
-from .core import Dfa, Alphabet, AlphabetMismatch
+from .core import Dfa, Alphabet
 from .minimization import state_complexity
 from .oracle import (
     BudgetExceeded,
@@ -58,8 +62,8 @@ _FAMILIES = {
 }
 
 
-class UsageError(Exception):
-    """Bad argument values; reported on stderr with exit status 2."""
+class UsageError(ValueError):
+    """Bad argument values that only the command line can detect."""
 
 
 @dataclass(frozen=True)
@@ -99,25 +103,19 @@ def sweep_records(
     ]
 
 
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
+def _text(value: object) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 def _record_line(r: SweepRecord) -> str:
-    return (
-        f"op={r.op} m={r.m} n={r.n} k={r.k} measured={r.measured} "
-        f"predicted={r.predicted} match={_bool(r.match)} elapsed_ms={r.elapsed_ms}"
-    )
+    return " ".join(f"{name}={_text(v)}" for name, v in asdict(r).items())
 
 
 def _record_csv(r: SweepRecord) -> str:
-    return (
-        f"{r.op},{r.m},{r.n},{r.k},{r.measured},{r.predicted},"
-        f"{_bool(r.match)},{r.elapsed_ms}"
-    )
+    return ",".join(_text(v) for v in astuple(r))
 
 
-CSV_HEADER = "op,m,n,k,measured,predicted,match,elapsed_ms"
+CSV_HEADER = ",".join(f.name for f in fields(SweepRecord))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,10 +190,18 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_caps(
+    m_range: tuple[int, int], n_range: tuple[int, int], cap_m: int, cap_n: int
+) -> None:
+    """Refuse witness sizes outside 2..cap before building anything."""
+    for what, (lo, hi), cap in (("m", m_range, cap_m), ("n", n_range, cap_n)):
+        if lo < 2 or hi > cap:
+            raise UsageError(f"{what} range {lo}..{hi} outside 2..{cap}")
+
+
 def _cmd_sc(args: argparse.Namespace) -> int:
     op = CombinedOp(args.op)
-    if args.m < 2 or args.n < 2:
-        raise UsageError(f"need m, n >= 2, got m={args.m}, n={args.n}")
+    _check_caps((args.m, args.m), (args.n, args.n), SWEEP_MAX_M, SWEEP_MAX_N)
     record = measure_cell(op, args.m, args.n)
     print(_record_line(record))
     return 0 if record.match else 1
@@ -209,8 +215,6 @@ def _cmd_witness(args: argparse.Namespace) -> int:
         raise UsageError(f"family {args.family} needs --{needed}")
     if getattr(args, other) is not None:
         raise UsageError(f"family {args.family} does not take --{other}")
-    if size < 2:
-        raise UsageError(f"need {needed} >= 2, got {size}")
     d = factory(size)
     sys.stdout.write(format_dot(d) if args.dot else format_dfa(d))
     return 0
@@ -239,12 +243,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     m, n = dM.state_count, dN.state_count
     k = len(dM.finals - {dM.start})
-    if op.uses_star and m < 2:
-        raise UsageError(f"star bounds need m >= 2, got {m}")
     bound = pipeline_bound(op, m, n, k)
     measured = state_complexity(dM, dN, op)
     holds = measured <= bound
-    print(f"m={m} n={n} k={k} measured={measured} bound={bound} holds={_bool(holds)}")
+    print(f"m={m} n={n} k={k} measured={measured} bound={bound} holds={_text(holds)}")
     return 0 if holds else 1
 
 
@@ -253,13 +255,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     m_range = _parse_range(args.m, "m")
     n_range = _parse_range(args.n, "n")
     cap_m = SWEEP_MAX_M if args.max_m is None else args.max_m
-    if m_range[0] < 2 or m_range[1] > cap_m:
-        raise UsageError(f"m range {m_range[0]}..{m_range[1]} outside 2..{cap_m}")
     cap_n = SWEEP_MAX_N if args.max_n is None else args.max_n
-    if n_range[0] < 2 or n_range[1] > cap_n:
-        raise UsageError(
-            f"n range {n_range[0]}..{n_range[1]} outside 2..{cap_n}"
-        )
+    _check_caps(m_range, n_range, cap_m, cap_n)
     records = [r for op in ops for r in sweep_records(op, m_range, n_range)]
     if args.format == "csv":
         print(CSV_HEADER)
@@ -268,15 +265,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         print(json.dumps([asdict(r) for r in records], indent=2))
     return 0 if all(r.match for r in records) else 1
-
-
-def _search_mode(args: argparse.Namespace) -> SearchMode:
-    if args.exhaustive:
-        return SearchMode.exhaustive()
-    try:
-        return SearchMode.sampled(args.samples, args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _pair_budget() -> int:
@@ -334,19 +322,15 @@ def _print_search_report(report: SearchReport, fmt: str) -> None:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     op = CombinedOp(args.op)
-    if args.m < 2 or args.n < 2:
-        raise UsageError(f"need m, n >= 2, got m={args.m}, n={args.n}")
     if not 1 <= args.sigma <= 26:
         raise UsageError(f"need 1 <= sigma <= 26, got {args.sigma}")
     alphabet = Alphabet(tuple(string.ascii_lowercase[: args.sigma]))
-    mode = _search_mode(args)
-    try:
-        report = search_max(
-            op, args.m, args.n, alphabet, mode, pair_budget=_pair_budget()
-        )
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    mode = (
+        SearchMode.exhaustive()
+        if args.exhaustive
+        else SearchMode.sampled(args.samples, args.seed)
+    )
+    report = search_max(op, args.m, args.n, alphabet, mode, pair_budget=_pair_budget())
     _print_search_report(report, args.format)
     return 0 if report.observed_max <= report.predicted_bound else 1
 
@@ -366,7 +350,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (UsageError, AlphabetMismatch) as exc:
+    except (ValueError, BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -62,9 +62,10 @@ class Dfa:
     """Complete deterministic automaton.
 
     ``delta[state][symbol]`` is the target state; state numbers carry no
-    meaning beyond identity.  Construction checks that there is a state, that
-    the start, finals and targets are states and that each state has one
-    transition per symbol, and raises ``InvalidDfa`` on the first failure.
+    meaning beyond identity.  Construction checks that the state count, start,
+    finals and targets are integers, that there is a state, that the start,
+    finals and targets are states and that each state has one transition per
+    symbol, and raises ``InvalidDfa`` on the first failure.
     """
 
     alphabet: Alphabet
@@ -82,10 +83,17 @@ class Dfa:
 
     def _first_problem(self) -> str | None:
         m = self.state_count
+        if not isinstance(m, int):
+            return f"state count must be an integer, got {m!r}"
         if m < 1:
             return f"state count must be positive, got {m}"
+        if not isinstance(self.start, int):
+            return f"start state must be an integer, got {self.start!r}"
         if not 0 <= self.start < m:
             return f"start state {self.start} out of range for {m} states"
+        odd = sorted(repr(q) for q in self.finals if not isinstance(q, int))
+        if odd:
+            return f"final state must be an integer, got {odd[0]}"
         for q in sorted(self.finals):
             if not 0 <= q < m:
                 return f"final state {q} out of range for {m} states"
@@ -99,6 +107,11 @@ class Dfa:
                 t = row[a] if a < len(row) else None
                 if t is None:
                     return f"missing transition from state {q} on symbol {name!r}"
+                if not isinstance(t, int):
+                    return (
+                        f"transition from state {q} on symbol {name!r} "
+                        f"targets {t!r}, not an integer"
+                    )
                 if not 0 <= t < m:
                     return (
                         f"transition from state {q} on symbol {name!r} "

@@ -322,10 +322,10 @@ def _letter_swaps(distinct: list[Dfa]) -> list[list[int]]:
     """The class each class moves to when letters ``a`` and ``a + 1`` trade
     places, one map per ``a``; together they generate every renaming.
 
-    A key is a minimal DFA, so swapping two of its columns and minimising
-    again gives the key of the renamed language.  Both enumerations are
-    closed under renaming letters, so a key that is not found means the
-    classes were built wrong.
+    A key is a minimal DFA, and swapping two of its columns keeps it
+    minimal, so renumbering it canonically gives the key of the renamed
+    language.  Both enumerations are closed under renaming letters, so a
+    key that is not found means the classes were built wrong.
     """
     number = {key: c for c, key in enumerate(distinct)}
     maps = []
@@ -335,7 +335,7 @@ def _letter_swaps(distinct: list[Dfa]) -> list[list[int]]:
             rows = tuple(
                 row[:a] + (row[a + 1], row[a]) + row[a + 2 :] for row in key.delta
             )
-            renamed = minimize(
+            renamed = relabel_canonical(
                 Dfa._trusted(key.alphabet, key.state_count, key.start, key.finals, rows)
             )
             c = number.get(renamed)
@@ -379,7 +379,7 @@ def search_max(
     stream and the achieving pair do not depend on the pruning.
     """
     if m < 2 or n < 2:
-        raise ValueError(f"search needs m, n >= 2, got m={m}, n={n}")
+        raise ValueError(f"need m, n >= 2, got m={m}, n={n}")
     union = op.boolean_mode == "union"
     predicted = tight_bound(op, m, n)
     best = -1

@@ -134,12 +134,12 @@ def bound_value(
             raise ValueError(f"need n >= 1, got {n}")
         if k is None or not 1 <= k <= m - 1:
             raise ValueError(f"need 1 <= k <= m - 1, got k={k} for m={m}")
-        return (2 ** (m - 1) + 2 ** (m - k - 1)) * n - n + 1
+        return pipeline_bound(CombinedOp.STAR_UNION, m, n, k)
     if n < 2:
         raise ValueError(f"{kind.value} needs n >= 2, got {n}")
     if kind is BoundKind.STAR_COMBINED_TIGHT:
-        return 3 * 2 ** (m - 2) * n - n + 1
-    return 2**m * n - n + 1
+        return pipeline_bound(CombinedOp.STAR_UNION, m, n, 1)
+    return pipeline_bound(CombinedOp.REVERSAL_UNION, m, n, 0)
 
 
 def tight_bound(op: CombinedOp, m: int, n: int) -> int:

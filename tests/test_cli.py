@@ -57,7 +57,24 @@ def test_sc_rejects_small_sizes(capsys):
     code, out, err = run(capsys, "sc", "star-union", "--m", "1", "--n", "2")
     assert code == 2
     assert out == ""
-    assert "need m, n >= 2" in err
+    assert "m range 1..1 outside 2..12" in err
+
+
+def test_sc_has_the_sweep_caps(capsys, monkeypatch):
+    def measure(*args):
+        raise AssertionError("a cell was measured past the cap")
+
+    monkeypatch.setattr(cli, "measure_cell", measure)
+    for op in CombinedOp:
+        for m, n, problem in (("13", "2", "m range 13.."), ("2", "9", "n range 9..")):
+            code, out, err = run(capsys, "sc", op.value, "--m", m, "--n", n)
+            assert code == 2
+            assert out == ""
+            assert problem in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "sc", "reversal-union", "--m", "12", "--n", "2")
+    assert code == 0
+    assert "measured=8191 predicted=8191 match=true" in out
 
 
 def test_witness_emits_parseable_text(capsys):
@@ -409,6 +426,65 @@ def test_search_budget_env_var(capsys, monkeypatch):
     )
     assert code == 2
     assert BUDGET_ENV_VAR in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("sc star-union --m 1 --n 2", "m range 1..1 outside 2..12"),
+        ("sc star-union --m 2 --n 9", "n range 9..9 outside 2..8"),
+        ("witness star-m --m 1", "need m >= 2, got 1"),
+        ("witness reversal-n --n 0", "need n >= 2, got 0"),
+        ("witness star-m --n 3", "family star-m needs --m"),
+        ("verify star-union {one} {n}", "star bounds need m >= 2, got 1"),
+        (
+            "verify star-union {m} {n4}",
+            "alphabets differ: {m} has ('a', 'b', 'c'), {n4} has ('a', 'b', 'c', 'd')",
+        ),
+        (
+            "verify star-union {bad} {n}",
+            "{bad}: line 4: start state 9 out of range for 1 states",
+        ),
+        (
+            "search star-union --m 1 --n 2 --sigma 2 --exhaustive",
+            "need m, n >= 2, got m=1, n=2",
+        ),
+        (
+            "search star-union --m 2 --n 2 --sigma 0 --exhaustive",
+            "need 1 <= sigma <= 26, got 0",
+        ),
+        (
+            "search star-union --m 2 --n 2 --sigma 2 --samples 0",
+            "need a positive sample count, got 0",
+        ),
+        (
+            "search star-union --m 2 --n 2 --sigma 2 --samples 3 --seed -1",
+            "need 0 <= seed < 2**64, got -1",
+        ),
+        (
+            "search star-union --m 3 --n 3 --sigma 2 --exhaustive",
+            "would examine 34012224 pairs, over the budget of 2097152",
+        ),
+        ("sweep star-union --m 5..3 --n 2", "bad m range '5..3': 5 > 3"),
+        ("sweep star-union --m 2 --n 2..9", "n range 2..9 outside 2..8"),
+    ],
+)
+def test_bad_input_is_one_error_line_and_exit_2(tmp_path, capsys, argv, message):
+    texts = {
+        "one": "dfa\nalphabet a b c\nstates 1\nstart 0\nfinal 0\n0 a 0\n0 b 0\n0 c 0\n",
+        "m": format_dfa(star_witness_m(2)),
+        "n": format_dfa(star_witness_n(2)),
+        "n4": format_dfa(reversal_witness_n(2)),
+        "bad": "dfa\nalphabet a\nstates 1\nstart 9\nfinal\n0 a 0\n",
+    }
+    names = {}
+    for key, text in texts.items():
+        names[key] = str(tmp_path / f"{key}.dfa")
+        Path(names[key]).write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, *(arg.format(**names) for arg in argv.split()))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message.format(**names)}\n"
 
 
 def test_parser_usage_errors(capsys):

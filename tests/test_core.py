@@ -129,6 +129,34 @@ def test_broken_machines_fail_at_construction():
     assert issubclass(InvalidDfa, ValueError)
 
 
+def test_non_integer_state_count_is_invalid():
+    check_message(
+        (AB, 2.0, 0, frozenset(), ((1, 0), (0, 1))),
+        "state count must be an integer, got 2.0",
+    )
+
+
+def test_non_integer_start_is_invalid():
+    check_message(
+        (AB, 2, 1.0, frozenset(), ((1, 0), (0, 1))),
+        "start state must be an integer, got 1.0",
+    )
+
+
+def test_non_integer_final_is_invalid():
+    rows = ((1, 0), (0, 1))
+    check_message((AB, 2, 0, {1.0}, rows), "final state must be an integer, got 1.0")
+    # a name among integer finals cannot even be ordered against them
+    check_message((AB, 2, 0, {0, "1"}, rows), "final state must be an integer, got '1'")
+
+
+def test_non_integer_target_is_invalid():
+    check_message(
+        (AB, 2, 0, frozenset({1}), ((1.0, 0), (0, 1))),
+        "transition from state 0 on symbol 'a' targets 1.0, not an integer",
+    )
+
+
 def test_complete_returns_complete_machine_unchanged():
     full = complete_dfa(AB, 2, 0, {1}, [(1, 0), [0, 1]])
     assert full == Dfa(AB, 2, 0, frozenset({1}), ((1, 0), (0, 1)))
