@@ -277,22 +277,25 @@ def pair_rows(
     return pairs, rows
 
 
-def product(d1: Dfa, d2: Dfa, mode: BooleanMode) -> SubsetDfa:
-    """Reachable pair machine with componentwise transitions.
+def pair_finals(
+    pairs: list[tuple[int, int]], d1: Dfa, d2: Dfa, mode: BooleanMode
+) -> list[bool]:
+    """Per ``(i, j)`` pair: either side final (union) or both (intersection)."""
+    f1, f2 = d1.finals, d2.finals
+    if mode == "union":
+        return [i in f1 or j in f2 for i, j in pairs]
+    return [i in f1 and j in f2 for i, j in pairs]
 
-    A pair is final when either side is final (union) or both are
-    (intersection); labels record the ``(i, j)`` pairs in breadth-first
-    discovery order.
-    """
+
+def product(d1: Dfa, d2: Dfa, mode: BooleanMode) -> SubsetDfa:
+    """Reachable pair machine with componentwise transitions, finals from
+    ``pair_finals``, and the ``(i, j)`` pairs as labels in breadth-first
+    discovery order."""
     require_same_alphabet(d1, d2)
     if mode not in ("union", "intersection"):
         raise ValueError(f"unknown mode: {mode!r}")
     pairs, rows = pair_rows(d1, d2)
-    f1, f2 = d1.finals, d2.finals
-    if mode == "union":
-        finals = frozenset(t for t, (i, j) in enumerate(pairs) if i in f1 or j in f2)
-    else:
-        finals = frozenset(t for t, (i, j) in enumerate(pairs) if i in f1 and j in f2)
+    finals = frozenset(t for t, f in enumerate(pair_finals(pairs, d1, d2, mode)) if f)
     dfa = Dfa._trusted(d1.alphabet, len(pairs), 0, finals, tuple(rows))
     return SubsetDfa(dfa, tuple(pairs))
 

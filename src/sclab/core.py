@@ -151,6 +151,9 @@ class Nfa:
     """Nondeterministic automaton with a set of initial states and no
     epsilon transitions; ``delta[state][symbol]`` is a possibly empty set of
     targets.  ``starts`` may be empty, in which case nothing is accepted.
+    Construction checks that the state count is a positive integer, that the
+    starts, finals and targets are states and that each state has one cell
+    per symbol, and raises ``ValueError`` on the first failure.
     """
 
     alphabet: Alphabet
@@ -167,6 +170,40 @@ class Nfa:
             "delta",
             tuple(tuple(frozenset(cell) for cell in row) for row in self.delta),
         )
+        problem = self._first_problem()
+        if problem is not None:
+            raise ValueError(problem)
+
+    def _first_problem(self) -> str | None:
+        m = self.state_count
+        if not isinstance(m, int):
+            return f"state count must be an integer, got {m!r}"
+        if m < 1:
+            return f"state count must be positive, got {m}"
+
+        def stranger(states: frozenset[int]) -> str | None:
+            """The smallest repr among ``states`` that is not a state."""
+            odd = [q for q in states if not isinstance(q, int) or not 0 <= q < m]
+            return min(map(repr, odd), default=None)
+
+        for what, states in (("start", self.starts), ("final", self.finals)):
+            q = stranger(states)
+            if q is not None:
+                return f"{what} state {q} is not one of the {m} states"
+        if len(self.delta) != m:
+            return f"transition table has {len(self.delta)} rows for {m} states"
+        names = self.alphabet.symbols
+        for q, row in enumerate(self.delta):
+            if len(row) != len(names):
+                return f"state {q} has {len(row)} cells for {len(names)} symbols"
+            for name, cell in zip(names, row):
+                t = stranger(cell)
+                if t is not None:
+                    return (
+                        f"transition from state {q} on symbol {name!r} "
+                        f"targets {t}, not one of the {m} states"
+                    )
+        return None
 
     @property
     def sigma(self) -> int:
@@ -199,29 +236,30 @@ def complete_dfa(
     return Dfa._trusted(alphabet, sink + 1, start, d.finals, (*delta, (sink,) * sigma))
 
 
-def dfa_accepts(d: Dfa, word: Sequence[int]) -> bool:
-    """Run ``d`` on the word; true iff the run ends in a final state."""
-    sigma = d.sigma
-    delta = d.delta
-    q = d.start
+def _check_word(sigma: int, word: Sequence[int]) -> None:
+    """Raise ``ValueError`` on the first symbol index outside the alphabet."""
     for s in word:
         if not 0 <= s < sigma:
             raise ValueError(
                 f"symbol index {s} out of range for alphabet of size {sigma}"
             )
+
+
+def dfa_accepts(d: Dfa, word: Sequence[int]) -> bool:
+    """Run ``d`` on the word; true iff the run ends in a final state."""
+    _check_word(d.sigma, word)
+    delta = d.delta
+    q = d.start
+    for s in word:
         q = delta[q][s]
     return q in d.finals
 
 
 def nfa_accepts(nf: Nfa, word: Sequence[int]) -> bool:
     """Forward set simulation; true iff some run ends in a final state."""
-    sigma = nf.sigma
+    _check_word(nf.sigma, word)
     current = set(nf.starts)
     for s in word:
-        if not 0 <= s < sigma:
-            raise ValueError(
-                f"symbol index {s} out of range for alphabet of size {sigma}"
-            )
         nxt: set[int] = set()
         for q in current:
             nxt.update(nf.delta[q][s])

@@ -3,7 +3,6 @@ product reachability, and shortest distinguishing words."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .core import Dfa, Word, reachable, require_same_alphabet
@@ -146,13 +145,31 @@ def minimize(d: Dfa) -> Dfa:
     return Dfa._trusted(d.alphabet, count, 0, qfinals, delta)
 
 
-def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """True iff the machines accept the same language: their symmetric
-    difference is empty, decided by walking the reachable product."""
-    require_same_alphabet(d1, d2)
-    pairs, _ = pair_rows(d1, d2)
+def _shortest_difference(d1: Dfa, d2: Dfa) -> Word | None:
+    """Shortest word accepted by exactly one of the machines, breaking length
+    ties toward smaller symbol indices; ``None`` iff they are equivalent.
+
+    The first pair in ``pair_rows`` order whose sides differ in finality is a
+    nearest one; each pair is discovered on the first edge into it in row
+    order, and following those edges back to the start pair spells the word.
+    """
+    pairs, rows = pair_rows(d1, d2)
     f1, f2 = d1.finals, d2.finals
-    return all((i in f1) == (j in f2) for i, j in pairs)
+    u = next((u for u, (i, j) in enumerate(pairs) if (i in f1) != (j in f2)), None)
+    if u is None:
+        return None
+    word: list[int] = []
+    while u:
+        u, a = next((t, a) for t in range(u) for a, v in enumerate(rows[t]) if v == u)
+        word.append(a)
+    return tuple(reversed(word))
+
+
+def equivalent(d1: Dfa, d2: Dfa) -> bool:
+    """True iff the machines accept the same language: no word tells them
+    apart in their reachable pair machine."""
+    require_same_alphabet(d1, d2)
+    return _shortest_difference(d1, d2) is None
 
 
 def distinguishing_word(d: Dfa, p: int, q: int) -> Word | None:
@@ -161,38 +178,8 @@ def distinguishing_word(d: Dfa, p: int, q: int) -> Word | None:
     m = d.state_count
     if not 0 <= p < m or not 0 <= q < m:
         raise ValueError(f"state index out of range for {m} states: ({p}, {q})")
-    finals = d.finals
-    if (p in finals) != (q in finals):
-        return ()
-    if p == q:
-        return None
-    sigma = d.sigma
-    parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {
-        (p, q): None
-    }
-    queue = deque([(p, q)])
-    while queue:
-        pair = queue.popleft()
-        rowx = d.delta[pair[0]]
-        rowy = d.delta[pair[1]]
-        for a in range(sigma):
-            nxt = (rowx[a], rowy[a])
-            if nxt in parents:
-                continue
-            parents[nxt] = (pair, a)
-            if (nxt[0] in finals) != (nxt[1] in finals):
-                word: list[int] = []
-                node = nxt
-                while True:
-                    link = parents[node]
-                    if link is None:
-                        break
-                    node, sym = link
-                    word.append(sym)
-                return tuple(reversed(word))
-            if nxt[0] != nxt[1]:
-                queue.append(nxt)
-    return None
+    dp, dq = (Dfa._trusted(d.alphabet, m, s, d.finals, d.delta) for s in (p, q))
+    return _shortest_difference(dp, dq)
 
 
 def state_complexity(dM: Dfa, dN: Dfa, op: CombinedOp) -> int:

@@ -12,12 +12,19 @@ from typing import Callable, Iterable, Sequence
 from .core import (
     Alphabet,
     Dfa,
+    _check_word,
     dfa_accepts,
     reachable,
     relabel_canonical,
     require_same_alphabet,
 )
-from .constructions import CombinedOp, first_component, pair_rows
+from .constructions import (
+    BooleanMode,
+    CombinedOp,
+    first_component,
+    pair_finals,
+    pair_rows,
+)
 from .minimization import _refine, minimize, state_complexity
 from .witnesses import tight_bound
 
@@ -147,12 +154,7 @@ def star_membership_oracle(d: Dfa, word: Sequence[int]) -> bool:
     construction: a position is a boundary if some earlier boundary reaches
     it through one accepted factor.
     """
-    sigma = d.sigma
-    for s in word:
-        if not 0 <= s < sigma:
-            raise ValueError(
-                f"symbol index {s} out of range for alphabet of size {sigma}"
-            )
+    _check_word(d.sigma, word)
     length = len(word)
     boundary = [False] * (length + 1)
     boundary[0] = True
@@ -276,7 +278,7 @@ class SearchReport:
     pairs_measured: int
 
 
-def _measured_size(d1: Dfa, dN: Dfa, union: bool, best: int = -1) -> int:
+def _measured_size(d1: Dfa, dN: Dfa, mode: BooleanMode, best: int = -1) -> int:
     """Minimal-DFA size of the pair machine of ``d1`` (a first component)
     and ``dN``, skipping object construction.
 
@@ -288,11 +290,7 @@ def _measured_size(d1: Dfa, dN: Dfa, union: bool, best: int = -1) -> int:
     pairs, rows = pair_rows(d1, dN)
     if len(pairs) <= best:
         return len(pairs)
-    f1, f2 = d1.finals, dN.finals
-    if union:
-        finals = [i in f1 or j in f2 for i, j in pairs]
-    else:
-        finals = [i in f1 and j in f2 for i, j in pairs]
+    finals = pair_finals(pairs, d1, dN, mode)
     _, count = _refine(len(pairs), d1.sigma, rows, finals)
     return count
 
@@ -380,7 +378,7 @@ def search_max(
     """
     if m < 2 or n < 2:
         raise ValueError(f"need m, n >= 2, got m={m}, n={n}")
-    union = op.boolean_mode == "union"
+    boolean = op.boolean_mode
     predicted = tight_bound(op, m, n)
     best = -1
     best_pair: tuple[Dfa, Dfa] | None = None
@@ -391,12 +389,9 @@ def search_max(
         if pairs > pair_budget:
             raise BudgetExceeded(pairs, pair_budget, "pairs")
         ms: list[Dfa] = []
-        enumerate_dfas(m, alphabet, ms.append, budget=pair_budget)
-        if n == m:
-            ns = ms
-        else:
-            ns = []
-            enumerate_dfas(n, alphabet, ns.append, budget=pair_budget)
+        ns: list[Dfa] = []
+        enumerate_dfas(m, alphabet, ms.append)
+        enumerate_dfas(n, alphabet, ns.append)
         m_class, _, m_keys = _classes(
             minimize(first_component(dM, op).dfa) for dM in ms
         )
@@ -411,7 +406,7 @@ def search_max(
             if size_of[cell] >= 0:
                 continue
             cm, cn = divmod(cell, width)
-            size = _measured_size(m_keys[cm], n_keys[cn], union)
+            size = _measured_size(m_keys[cm], n_keys[cn], boolean)
             measured += 1
             size_of[cell] = size
             orbit = [cell]
@@ -443,7 +438,7 @@ def search_max(
             # that cannot pass the running maximum is not built at all.
             if first.state_count * n > best:
                 dN = random_dfa(n, alphabet, n_seed)
-                size = _measured_size(first, dN, union, best)
+                size = _measured_size(first, dN, boolean, best)
                 measured += 1
                 if size > best:
                     best = size

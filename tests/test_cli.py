@@ -426,6 +426,14 @@ def test_search_budget_env_var(capsys, monkeypatch):
     )
     assert code == 2
     assert BUDGET_ENV_VAR in err
+    monkeypatch.setenv(BUDGET_ENV_VAR, "0")
+    code, out, err = run(
+        capsys, "search", "star-union", "--m", "2", "--n", "2", "--sigma", "2",
+        "--exhaustive",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {BUDGET_ENV_VAR} must be positive, got 0\n"
 
 
 @pytest.mark.parametrize(

@@ -57,6 +57,46 @@ def test_nfa_normalises_fields_and_allows_empty_starts():
     assert not nfa_accepts(nf, (0, 1))
 
 
+NFA_ROWS = (({1}, {0}), ({0}, {1}))
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ((AB, 2.0, {0}, {1}, NFA_ROWS), "state count must be an integer, got 2.0"),
+        ((AB, 0, set(), set(), ()), "state count must be positive, got 0"),
+        ((AB, 2, {5}, {1}, NFA_ROWS), "start state 5 is not one of the 2 states"),
+        ((AB, 2, {0}, {9}, NFA_ROWS), "final state 9 is not one of the 2 states"),
+        ((AB, 2, {0}, {"1"}, NFA_ROWS), "final state '1' is not one of the 2 states"),
+        ((AB, 2, {0}, {1}, NFA_ROWS[:1]), "transition table has 1 rows for 2 states"),
+        ((AB, 2, {0}, {1}, (({1},), ({0}, {1}))), "state 0 has 1 cells for 2 symbols"),
+        (
+            (AB, 2, {0}, {1}, (({1}, {0}), ({0}, {7}))),
+            "transition from state 1 on symbol 'b' targets 7, not one of the 2 states",
+        ),
+        (
+            (AB, 2, {0}, {1}, (({None}, {0}), ({0}, {1}))),
+            "transition from state 0 on symbol 'a' targets None, not one of the 2 states",
+        ),
+    ],
+    ids=[
+        "count-type",
+        "count-zero",
+        "start",
+        "final",
+        "final-type",
+        "rows",
+        "short-row",
+        "target",
+        "target-type",
+    ],
+)
+def test_nfa_rejects_broken_fields(fields, message):
+    with pytest.raises(ValueError) as err:
+        Nfa(*fields)
+    assert str(err.value) == message
+
+
 def test_validate_accepts_witnesses():
     for d in (star_witness_n(3), reversal_witness_m(4)):
         assert rebuilt(d) == d

@@ -3,6 +3,7 @@ import pytest
 from sclab import (
     Alphabet,
     BudgetExceeded,
+    DEFAULT_MACHINE_BUDGET,
     CombinedOp,
     Dfa,
     SearchMode,
@@ -231,6 +232,18 @@ def test_search_max_budget_and_domain_errors():
         search_max(CombinedOp.STAR_UNION, 2, 2, AB, SearchMode("bogus"))
 
 
+def test_a_raised_pair_budget_keeps_the_machine_budget():
+    # 10**20 pairs allows 5x2-state pairs on two letters, but enumerating
+    # the 312,500,000 five-state machines is refused before any is built
+    with pytest.raises(BudgetExceeded) as err:
+        search_max(
+            CombinedOp.STAR_UNION, 5, 2, AB, SearchMode.exhaustive(), pair_budget=10**20
+        )
+    assert err.value.needed == 312_500_000
+    assert err.value.budget == DEFAULT_MACHINE_BUDGET
+    assert "312500000 machines" in str(err.value)
+
+
 def test_search_max_ties_go_to_the_earliest_pair():
     mode = SearchMode.exhaustive()
     r1 = search_max(CombinedOp.REVERSAL_UNION, 2, 2, A1, mode)
@@ -238,21 +251,27 @@ def test_search_max_ties_go_to_the_earliest_pair():
     assert r1.achieving_pair == r2.achieving_pair
 
 
-@pytest.mark.parametrize("sigma", [1, 2])
+# ids name the alphabet size, after the side with three states if any
+@pytest.mark.parametrize(
+    "m, n, sigma",
+    [(2, 2, 1), (2, 2, 2), (3, 2, 1), (2, 3, 1)],
+    ids=["1", "2", "m3-1", "n3-1"],
+)
 @pytest.mark.parametrize("op", list(CombinedOp))
-def test_search_max_matches_brute_force(op, sigma):
+def test_search_max_matches_brute_force(op, m, n, sigma):
     # brute force over every pair is the oracle for the orbit search
     alphabet = Alphabet(("a", "b")[:sigma])
-    machines = []
-    enumerate_dfas(2, alphabet, machines.append)
+    ms, ns = [], []
+    enumerate_dfas(m, alphabet, ms.append)
+    enumerate_dfas(n, alphabet, ns.append)
     best, best_pair, examined = -1, None, 0
-    for dM in machines:
-        for dN in machines:
+    for dM in ms:
+        for dN in ns:
             size = state_complexity(dM, dN, op)
             examined += 1
             if size > best:
                 best, best_pair = size, (dM, dN)
-    report = search_max(op, 2, 2, alphabet, SearchMode.exhaustive())
+    report = search_max(op, m, n, alphabet, SearchMode.exhaustive())
     assert report.observed_max == best
     assert report.achieving_pair == best_pair
     assert report.machines_examined == examined
@@ -278,7 +297,6 @@ def test_search_kernel_agrees_with_both_minimisers(op):
     # the search's per-pair kernel against the public pipeline and the
     # table-filling oracle, on seeded random pairs
     rng = SplitMix64(0x5C1AB)
-    union = op.boolean_mode == "union"
     for sigma in (1, 2, 3):
         alphabet = Alphabet(("a", "b", "c")[:sigma])
         for m in (2, 3, 4):
@@ -286,7 +304,7 @@ def test_search_kernel_agrees_with_both_minimisers(op):
                 for _ in range(4):
                     dM = random_dfa(m, alphabet, rng.next_uint64())
                     dN = random_dfa(n, alphabet, rng.next_uint64())
-                    kernel = _measured_size(first_component(dM, op).dfa, dN, union)
+                    kernel = _measured_size(first_component(dM, op).dfa, dN, op.boolean_mode)
                     pipeline = state_complexity(dM, dN, op)
                     oracle = table_filling_minimize(combined(dM, dN, op).dfa)
                     assert kernel == pipeline == oracle.state_count, (dM, dN)
@@ -325,7 +343,6 @@ def test_sampled_search_matches_the_unpruned_loop(op, sigma):
 @pytest.mark.parametrize("op", list(CombinedOp))
 def test_measured_size_is_exact_above_best_and_bounded_below(op):
     rng = SplitMix64(0xB0B)
-    union = op.boolean_mode == "union"
     for sigma in (1, 2, 3):
         alphabet = Alphabet(("a", "b", "c")[:sigma])
         for m, n in ((2, 2), (3, 3), (4, 3)):
@@ -336,7 +353,7 @@ def test_measured_size_is_exact_above_best_and_bounded_below(op):
                 exact = state_complexity(dM, dN, op)
                 reachable = combined(dM, dN, op).dfa.state_count
                 for best in {-1, 0, exact - 1, exact, exact + 1, reachable - 1, reachable}:
-                    size = _measured_size(first, dN, union, best)
+                    size = _measured_size(first, dN, op.boolean_mode, best)
                     if exact > best:
                         assert size == exact, (dM, dN, best)
                     else:

@@ -136,6 +136,39 @@ def test_parse_error_non_integer_token():
         parse_dfa("dfa\nalphabet a\nstates x\nstart 0\nfinal\n0 a 0\n")
 
 
+HEADER = "dfa\nalphabet a\nstates 1\nstart 0\nfinal\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("dfa\nalphabet\n", 2, "expected 'alphabet' followed by at least one symbol"),
+        ("dfa\nalphabet a\nstates 1 2\n", 3, "expected 'states' followed by a count"),
+        (
+            "dfa\nalphabet a\nstates 1\nbegin 0\n",
+            4,
+            "expected 'start' followed by a state",
+        ),
+        (
+            "dfa\nalphabet a\nstates 1\nstart 0\nfinals 0\n",
+            5,
+            "expected 'final' followed by zero or more states",
+        ),
+        (
+            "dfa\nalphabet a\nstates 1\nstart 0\nfinal 3\n",
+            5,
+            "final state 3 out of range for 1 states",
+        ),
+        (HEADER + "5 a 0\n", 6, "source state 5 out of range for 1 states"),
+    ],
+)
+def test_parse_error_messages_name_their_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        parse_dfa(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_dot_output_shape():
     d = star_witness_n(2)
     dot = format_dot(d)
