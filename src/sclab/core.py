@@ -8,10 +8,13 @@ equality (``==``) is meaningful and canonical forms can be compared directly.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 Word = tuple[int, ...]
+
+_T = TypeVar("_T")
 
 
 class AlphabetMismatch(ValueError):
@@ -20,6 +23,17 @@ class AlphabetMismatch(ValueError):
 
 class InvalidDfa(ValueError):
     """A ``Dfa``'s fields do not make a complete DFA; the message names why."""
+
+
+def _shaped(
+    build: Callable[[object], _T], value: object, error: type[ValueError], what: str
+) -> _T:
+    """``build(value)``, or ``error`` saying ``what`` when ``value`` has a
+    shape ``build`` cannot take, such as an int where a set belongs."""
+    try:
+        return build(value)
+    except TypeError:
+        raise error(f"{what}, got {reprlib.repr(value)}") from None
 
 
 @dataclass(frozen=True)
@@ -62,10 +76,11 @@ class Dfa:
     """Complete deterministic automaton.
 
     ``delta[state][symbol]`` is the target state; state numbers carry no
-    meaning beyond identity.  Construction checks that the state count, start,
-    finals and targets are integers, that there is a state, that the start,
-    finals and targets are states and that each state has one transition per
-    symbol, and raises ``InvalidDfa`` on the first failure.
+    meaning beyond identity.  Construction checks that the finals are a set
+    and the table is rows, that the state count, start, finals and targets
+    are integers, that there is a state, that the start, finals and targets
+    are states and that each state has one transition per symbol, and raises
+    ``InvalidDfa`` on the first failure.
     """
 
     alphabet: Alphabet
@@ -75,8 +90,17 @@ class Dfa:
     delta: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "delta", tuple(tuple(row) for row in self.delta))
+        finals = _shaped(
+            frozenset, self.finals, InvalidDfa, "finals must be a set of states"
+        )
+        delta = _shaped(
+            lambda table: tuple(tuple(row) for row in table),
+            self.delta,
+            InvalidDfa,
+            "transition table must be rows of targets",
+        )
+        object.__setattr__(self, "finals", finals)
+        object.__setattr__(self, "delta", delta)
         problem = self._first_problem()
         if problem is not None:
             raise InvalidDfa(problem)
@@ -151,7 +175,8 @@ class Nfa:
     """Nondeterministic automaton with a set of initial states and no
     epsilon transitions; ``delta[state][symbol]`` is a possibly empty set of
     targets.  ``starts`` may be empty, in which case nothing is accepted.
-    Construction checks that the state count is a positive integer, that the
+    Construction checks that the starts and finals are sets and the table is
+    rows of sets, that the state count is a positive integer, that the
     starts, finals and targets are states and that each state has one cell
     per symbol, and raises ``ValueError`` on the first failure.
     """
@@ -163,13 +188,21 @@ class Nfa:
     delta: tuple[tuple[frozenset[int], ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "starts", frozenset(self.starts))
-        object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(
-            self,
-            "delta",
-            tuple(tuple(frozenset(cell) for cell in row) for row in self.delta),
+        starts = _shaped(
+            frozenset, self.starts, ValueError, "starts must be a set of states"
         )
+        finals = _shaped(
+            frozenset, self.finals, ValueError, "finals must be a set of states"
+        )
+        delta = _shaped(
+            lambda table: tuple(tuple(map(frozenset, row)) for row in table),
+            self.delta,
+            ValueError,
+            "transition table must be rows of target sets",
+        )
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "finals", finals)
+        object.__setattr__(self, "delta", delta)
         problem = self._first_problem()
         if problem is not None:
             raise ValueError(problem)
@@ -227,7 +260,13 @@ def complete_dfa(
     gap held by a self-loop, so they cannot name the sink.
     """
     sigma, sink = len(alphabet), state_count
-    padded = [tuple(row) + (None,) * (sigma - len(row)) for row in rows]
+    table = _shaped(
+        lambda table: [tuple(row) for row in table],
+        rows,
+        InvalidDfa,
+        "transition table must be rows of targets",
+    )
+    padded = [row + (None,) * (sigma - len(row)) for row in table]
     held = [[q if t is None else t for t in row] for q, row in enumerate(padded)]
     d = Dfa(alphabet, state_count, start, finals, held)
     if not any(None in row for row in padded):

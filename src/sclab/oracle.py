@@ -262,9 +262,10 @@ class SearchMode:
 class SearchReport:
     """Outcome of one worst-case search.  ``machines_examined`` counts the
     (M, N) pairs the search covers; ``pairs_measured`` counts the pairs whose
-    pair machine it built: one per orbit in exhaustive mode, and in sampled
-    mode every pair whose first component times ``n`` states could still
-    beat the running maximum."""
+    pair machine it built: in exhaustive mode one per orbit whose key sizes
+    ``|key M| * |key N|`` could still reach the running maximum, and in
+    sampled mode every pair whose first component times ``n`` states could
+    still beat it."""
 
     op: CombinedOp
     m: int
@@ -314,6 +315,14 @@ def _classes(keys: Iterable[Dfa]) -> tuple[list[int], list[int], list[Dfa]]:
             first.append(i)
         class_of.append(c)
     return class_of, first, distinct
+
+
+def _by_state_count(keys: list[Dfa]) -> dict[int, list[int]]:
+    """The classes of each key size, each list in ascending class order."""
+    sized: dict[int, list[int]] = {}
+    for c, key in enumerate(keys):
+        sized.setdefault(key.state_count, []).append(c)
+    return sized
 
 
 def _letter_swaps(distinct: list[Dfa]) -> list[list[int]]:
@@ -369,12 +378,16 @@ def search_max(
     products, so one size also holds for every pair of classes reached
     from a measured one by renaming both sides alike.
 
-    The sampled search is a branch and bound on structural bounds only: a
-    pair can change the report only if its size is strictly above the
-    running maximum, and its size is at most its reachable pair count,
-    which is at most ``|first component| * n``.  Both seeds of a pair are
-    drawn in order whether or not the pair is measured, so the sample
-    stream and the achieving pair do not depend on the pruning.
+    Both searches are a branch and bound on structural bounds only, never
+    on the closed forms.  In exhaustive mode the pair machine of two class
+    keys has at most ``|key M| * |key N|`` states, so orbits are measured
+    in descending order of that product, and only while it can still reach
+    the running maximum.  In sampled mode a pair can change the report only
+    if its size is strictly above the running maximum, and its size is at
+    most its reachable pair count, which is at most
+    ``|first component| * n``.  Both seeds of a pair are drawn in order
+    whether or not the pair is measured, so the sample stream and the
+    achieving pair do not depend on the pruning.
     """
     if m < 2 or n < 2:
         raise ValueError(f"need m, n >= 2, got m={m}, n={n}")
@@ -398,27 +411,46 @@ def search_max(
         _, n_first, n_keys = _classes(minimize(dN) for dN in ns)
         swaps = list(zip(_letter_swaps(m_keys), _letter_swaps(n_keys)))
         # size_of[cm * width + cn] is the size of every pair in classes
-        # (cm, cn); each orbit is measured once, on the two class keys, and
-        # filled by breadth-first search over the letter swaps.
+        # (cm, cn), or -1 for a cell never reached; each orbit is measured
+        # once, on the two class keys, and filled by breadth-first search
+        # over the letter swaps.  The kernel is given the running maximum
+        # minus one, so a size is exact when it reaches the running maximum
+        # and is otherwise a reachable count below it: only exact sizes can
+        # equal the final maximum in the scan for the earliest pair.
         width = len(n_keys)
         size_of = [-1] * (len(m_keys) * width)
-        for cell in range(len(size_of)):
-            if size_of[cell] >= 0:
-                continue
-            cm, cn = divmod(cell, width)
-            size = _measured_size(m_keys[cm], n_keys[cn], boolean)
-            measured += 1
-            size_of[cell] = size
-            orbit = [cell]
-            for x in orbit:
-                cm, cn = divmod(x, width)
-                for to_m, to_n in swaps:
-                    y = to_m[cm] * width + to_n[cn]
-                    if size_of[y] < 0:
-                        size_of[y] = size
-                        orbit.append(y)
+        m_sized = _by_state_count(m_keys)
+        n_sized = _by_state_count(n_keys)
+        # Cells are grouped by key sizes and the groups walked by their
+        # bound |key M| * |key N|, largest first.  The walk stops at the
+        # first group that cannot reach the running maximum; a group that
+        # could only tie is still walked, so the earliest-pair scan below
+        # stays exact.  Renaming letters keeps both key sizes, so an orbit
+        # lies in one group.
+        groups = sorted(
+            itertools.product(m_sized, n_sized), key=lambda g: -g[0] * g[1]
+        )
+        for size_m, size_n in groups:
+            if size_m * size_n < best:
+                break
+            for cm in m_sized[size_m]:
+                for cn in n_sized[size_n]:
+                    cell = cm * width + cn
+                    if size_of[cell] >= 0:
+                        continue
+                    size = _measured_size(m_keys[cm], n_keys[cn], boolean, best - 1)
+                    measured += 1
+                    best = max(best, size)
+                    size_of[cell] = size
+                    orbit = [cell]
+                    for x in orbit:
+                        xm, xn = divmod(x, width)
+                        for to_m, to_n in swaps:
+                            y = to_m[xm] * width + to_n[xn]
+                            if size_of[y] < 0:
+                                size_of[y] = size
+                                orbit.append(y)
         examined = pairs
-        best = max(size_of)
         # The earliest pair in enumeration order reaching the maximum.
         for i, cm in enumerate(m_class):
             row = size_of[cm * width : (cm + 1) * width]

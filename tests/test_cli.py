@@ -521,7 +521,7 @@ def test_search_json_counts_pairs_measured(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["machines_examined"] == 65536
-    assert payload["pairs_measured"] == 1512
+    assert payload["pairs_measured"] == 248
     code, out, _ = run(capsys, *argv, "--samples", "25", "--format", "json")
     assert code == 0
     payload = json.loads(out)

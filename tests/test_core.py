@@ -78,6 +78,11 @@ NFA_ROWS = (({1}, {0}), ({0}, {1}))
             (AB, 2, {0}, {1}, (({None}, {0}), ({0}, {1}))),
             "transition from state 0 on symbol 'a' targets None, not one of the 2 states",
         ),
+        ((AB, 2, 0, {1}, NFA_ROWS), "starts must be a set of states, got 0"),
+        (
+            (AB, 2, {0}, {1}, ((1, 0), (0, 1))),
+            "transition table must be rows of target sets, got ((1, 0), (0, 1))",
+        ),
     ],
     ids=[
         "count-type",
@@ -89,6 +94,8 @@ NFA_ROWS = (({1}, {0}), ({0}, {1}))
         "short-row",
         "target",
         "target-type",
+        "starts-shape",
+        "rows-shape",
     ],
 )
 def test_nfa_rejects_broken_fields(fields, message):
@@ -162,6 +169,10 @@ def test_broken_machines_fail_at_construction():
         "missing transition from state 1 on symbol 'a'": (
             AB, 2, 0, {1}, ((1, 0), (None, 1))
         ),
+        "finals must be a set of states, got 1": (AB, 2, 0, 1, rows),
+        r"transition table must be rows of targets, got \(1, 0\)": (
+            AB, 2, 0, {1}, (1, 0)
+        ),
     }
     for problem, fields in broken.items():
         with pytest.raises(InvalidDfa, match=problem):
@@ -229,6 +240,8 @@ def test_complete_rejects_broken_machines():
     # a present target cannot name the sink that completion would add
     with pytest.raises(InvalidDfa, match="targets 2, out of range for 2 states"):
         complete_dfa(AB, 2, 0, (), ((2, None), (0, 0)))
+    with pytest.raises(InvalidDfa, match="must be rows of targets, got"):
+        complete_dfa(AB, 2, 0, (), (1, 0))
 
 
 def test_dfa_accepts_star_n_cycle():

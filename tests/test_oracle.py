@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from sclab import (
@@ -27,6 +29,7 @@ from sclab import (
     state_complexity,
     table_filling_minimize,
 )
+from sclab import oracle
 from sclab.oracle import _measured_size
 from sclab.witnesses import (
     STAR_ALPHABET,
@@ -280,16 +283,137 @@ def test_search_max_matches_brute_force(op, m, n, sigma):
 @pytest.mark.parametrize(
     "op, measured",
     [
-        (CombinedOp.STAR_UNION, 1512),
-        (CombinedOp.STAR_INTERSECTION, 1512),
-        (CombinedOp.REVERSAL_UNION, 2516),
-        (CombinedOp.REVERSAL_INTERSECTION, 2516),
+        (CombinedOp.STAR_UNION, 248),
+        (CombinedOp.STAR_INTERSECTION, 248),
+        (CombinedOp.REVERSAL_UNION, 1216),
+        (CombinedOp.REVERSAL_INTERSECTION, 1216),
     ],
 )
 def test_exhaustive_search_measures_one_pair_per_orbit(op, measured):
+    # one pair per orbit, and only the orbits whose key sizes can still
+    # reach the maximum: of 1,512 orbits per star op and 2,516 per reversal op
     report = search_max(op, 2, 2, STAR_ALPHABET, SearchMode.exhaustive())
     assert report.machines_examined == 65536
     assert report.pairs_measured == measured
+
+
+def renamed(d, perm):
+    """``d`` with letter ``perm[a]``'s transitions moved to letter ``a``,
+    renumbered canonically."""
+    rows = tuple(tuple(row[a] for a in perm) for row in d.delta)
+    return relabel_canonical(Dfa(d.alphabet, d.state_count, d.start, d.finals, rows))
+
+
+def unpruned_class_table(op, m, n, alphabet):
+    """The exhaustive search without orbits or pruning: every cell of the
+    (M key, N key) table is measured, and the earliest pair in enumeration
+    order reaching the maximum wins.  Returns the maximum, that pair, the
+    pairs covered, and the number of orbits of cells under every renaming
+    of the letters."""
+    ms, ns = [], []
+    enumerate_dfas(m, alphabet, ms.append)
+    enumerate_dfas(n, alphabet, ns.append)
+    m_keys = [minimize(first_component(dM, op).dfa) for dM in ms]
+    n_keys = [minimize(dN) for dN in ns]
+    size = {
+        (km, kn): _measured_size(km, kn, op.boolean_mode)
+        for km in set(m_keys)
+        for kn in set(n_keys)
+    }
+    best = max(size.values())
+    best_pair = next(
+        (dM, dN)
+        for dM, km in zip(ms, m_keys)
+        for dN, kn in zip(ns, n_keys)
+        if size[km, kn] == best
+    )
+    perms = list(itertools.permutations(range(len(alphabet))))
+    images = {k: [renamed(k, p) for p in perms] for k in {*m_keys, *n_keys}}
+    orbits = {frozenset(zip(images[km], images[kn])) for km, kn in size}
+    return best, best_pair, len(ms) * len(ns), len(orbits)
+
+
+@pytest.fixture(scope="module")
+def unpruned():
+    """``unpruned(op, sigma)``: the unpruned class table at m=n=2 over the
+    first ``sigma`` of a, b, c, built once per module."""
+    tables = {}
+
+    def table(op, sigma):
+        if (op, sigma) not in tables:
+            alphabet = Alphabet(("a", "b", "c")[:sigma])
+            tables[op, sigma] = unpruned_class_table(op, 2, 2, alphabet)
+        return tables[op, sigma]
+
+    return table
+
+
+# At three letters one star op is enough to keep the suite fast; both
+# reversal tables are built there anyway for the complement check below.
+@pytest.mark.parametrize(
+    "op, sigma",
+    [(op, sigma) for sigma in (1, 2) for op in CombinedOp]
+    + [
+        (CombinedOp.STAR_UNION, 3),
+        (CombinedOp.REVERSAL_UNION, 3),
+        (CombinedOp.REVERSAL_INTERSECTION, 3),
+    ],
+)
+def test_pruned_search_matches_the_unpruned_class_table(unpruned, op, sigma):
+    best, best_pair, examined, orbits = unpruned(op, sigma)
+    alphabet = Alphabet(("a", "b", "c")[:sigma])
+    report = search_max(op, 2, 2, alphabet, SearchMode.exhaustive())
+    assert report.observed_max == best
+    assert report.achieving_pair == best_pair
+    assert report.machines_examined == examined
+    assert report.pairs_measured <= orbits
+
+
+def complement(d):
+    return Dfa(
+        d.alphabet, d.state_count, d.start, set(range(d.state_count)) - d.finals, d.delta
+    )
+
+
+def test_reversal_intersection_is_reversal_union_of_the_complements():
+    # reversal commutes with complement, so by De Morgan the pair machines
+    # of (M, N) under intersection and (M^c, N^c) under union accept
+    # complementary languages and have the same minimal size
+    machines = []
+    enumerate_dfas(2, AB, machines.append)
+    flipped = [complement(d) for d in machines]
+    for dM, cM in zip(machines, flipped):
+        for dN, cN in zip(machines, flipped):
+            assert state_complexity(dM, dN, CombinedOp.REVERSAL_INTERSECTION) == (
+                state_complexity(cM, cN, CombinedOp.REVERSAL_UNION)
+            ), (dM, dN)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3])
+def test_reversal_maxima_agree_under_complement(unpruned, sigma):
+    # complementing both machines maps each enumeration onto itself
+    assert unpruned(CombinedOp.REVERSAL_INTERSECTION, sigma)[0] == (
+        unpruned(CombinedOp.REVERSAL_UNION, sigma)[0]
+    )
+
+
+@pytest.mark.parametrize("op", [CombinedOp.STAR_UNION, CombinedOp.REVERSAL_UNION])
+def test_exhaustive_sizes_that_reach_the_maximum_are_exact(monkeypatch, op):
+    # a reachable count standing in for a size must stay below the maximum,
+    # or the earliest-pair scan could stop at a pair that only seems to tie
+    calls = []
+
+    def recording(d1, dN, mode, best=-1):
+        size = _measured_size(d1, dN, mode, best)
+        calls.append((d1, dN, size))
+        return size
+
+    monkeypatch.setattr(oracle, "_measured_size", recording)
+    report = search_max(op, 2, 2, STAR_ALPHABET, SearchMode.exhaustive())
+    assert len(calls) == report.pairs_measured
+    for d1, dN, size in calls:
+        if size >= report.observed_max:
+            assert size == _measured_size(d1, dN, op.boolean_mode), (d1, dN)
 
 
 @pytest.mark.parametrize("op", list(CombinedOp))
