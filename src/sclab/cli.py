@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p_search.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exhaustive", action="store_true")
     mode.add_argument("--samples", type=int)
-    p_search.add_argument("--seed", type=int, default=0)
+    p_search.add_argument("--seed", type=int)
     p_search.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 
@@ -324,11 +324,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
     op = CombinedOp(args.op)
     if not 1 <= args.sigma <= 26:
         raise UsageError(f"need 1 <= sigma <= 26, got {args.sigma}")
+    if args.exhaustive and args.seed is not None:
+        raise UsageError("--seed needs --samples")
     alphabet = Alphabet(tuple(string.ascii_lowercase[: args.sigma]))
     mode = (
         SearchMode.exhaustive()
         if args.exhaustive
-        else SearchMode.sampled(args.samples, args.seed)
+        else SearchMode.sampled(args.samples, args.seed or 0)
     )
     report = search_max(op, args.m, args.n, alphabet, mode, pair_budget=_pair_budget())
     _print_search_report(report, args.format)

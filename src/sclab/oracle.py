@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .core import (
     Alphabet,
@@ -241,6 +241,8 @@ class SearchMode:
     def __post_init__(self) -> None:
         if self.kind not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown search mode: {self.kind!r}")
+        if self.kind == "exhaustive" and (self.samples or self.seed):
+            raise ValueError("exhaustive mode takes no sample count or seed")
         if self.kind == "sampled":
             if self.samples < 1:
                 raise ValueError(f"need a positive sample count, got {self.samples}")
@@ -260,9 +262,11 @@ class SearchMode:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Outcome of one worst-case search.  ``machines_examined`` counts the
-    (M, N) pairs the search covers; ``pairs_measured`` counts the pairs whose
-    pair machine it built: in exhaustive mode one per orbit whose key sizes
+    """Outcome of one worst-case search.  ``achieving_pair`` is the earliest
+    pair reaching ``observed_max``, in enumeration order or in the sample
+    stream.  ``machines_examined`` counts the (M, N) pairs the search
+    covers; ``pairs_measured`` counts the pairs whose pair machine it
+    built: in exhaustive mode one per orbit whose key sizes
     ``|key M| * |key N|`` could still reach the running maximum, and in
     sampled mode every pair whose first component times ``n`` states could
     still beat it."""
@@ -296,25 +300,18 @@ def _measured_size(d1: Dfa, dN: Dfa, mode: BooleanMode, best: int = -1) -> int:
     return count
 
 
-def _classes(keys: Iterable[Dfa]) -> tuple[list[int], list[int], list[Dfa]]:
-    """Number equal keys by first appearance.
+def _classes(
+    machines: list[Dfa], key: Callable[[Dfa], Dfa]
+) -> tuple[list[Dfa], list[Dfa]]:
+    """Group machines by key, numbering the classes by first appearance.
 
-    Returns the class of every position, the first position of each class,
-    and the distinct keys in class order.
+    Returns the distinct keys in class order and the first machine of each
+    class, so a lower class number means an earlier first machine.
     """
-    number: dict[Dfa, int] = {}
-    distinct: list[Dfa] = []
-    first: list[int] = []
-    class_of: list[int] = []
-    for i, key in enumerate(keys):
-        c = number.get(key)
-        if c is None:
-            c = len(distinct)
-            number[key] = c
-            distinct.append(key)
-            first.append(i)
-        class_of.append(c)
-    return class_of, first, distinct
+    first: dict[Dfa, Dfa] = {}
+    for d in machines:
+        first.setdefault(key(d), d)
+    return list(first), list(first.values())
 
 
 def _by_state_count(keys: list[Dfa]) -> dict[int, list[int]]:
@@ -376,7 +373,9 @@ def search_max(
     classed by the minimal DFA of its first component and N by its own
     minimal DFA.  Renaming letters commutes with star, reversal and the
     products, so one size also holds for every pair of classes reached
-    from a measured one by renaming both sides alike.
+    from a measured one by renaming both sides alike.  Those pairs are only
+    marked as covered: the search keeps no table of sizes, and the earliest
+    pair reaching the maximum is kept as the walk runs.
 
     Both searches are a branch and bound on structural bounds only, never
     on the closed forms.  In exhaustive mode the pair machine of two class
@@ -405,28 +404,24 @@ def search_max(
         ns: list[Dfa] = []
         enumerate_dfas(m, alphabet, ms.append)
         enumerate_dfas(n, alphabet, ns.append)
-        m_class, _, m_keys = _classes(
-            minimize(first_component(dM, op).dfa) for dM in ms
-        )
-        _, n_first, n_keys = _classes(minimize(dN) for dN in ns)
+        m_keys, m_first = _classes(ms, lambda d: minimize(first_component(d, op).dfa))
+        n_keys, n_first = _classes(ns, minimize)
         swaps = list(zip(_letter_swaps(m_keys), _letter_swaps(n_keys)))
-        # size_of[cm * width + cn] is the size of every pair in classes
-        # (cm, cn), or -1 for a cell never reached; each orbit is measured
-        # once, on the two class keys, and filled by breadth-first search
-        # over the letter swaps.  The kernel is given the running maximum
-        # minus one, so a size is exact when it reaches the running maximum
-        # and is otherwise a reachable count below it: only exact sizes can
-        # equal the final maximum in the scan for the earliest pair.
-        width = len(n_keys)
-        size_of = [-1] * (len(m_keys) * width)
         m_sized = _by_state_count(m_keys)
         n_sized = _by_state_count(n_keys)
-        # Cells are grouped by key sizes and the groups walked by their
-        # bound |key M| * |key N|, largest first.  The walk stops at the
-        # first group that cannot reach the running maximum; a group that
-        # could only tie is still walked, so the earliest-pair scan below
-        # stays exact.  Renaming letters keeps both key sizes, so an orbit
-        # lies in one group.
+        # Cell cm * width + cn holds the pairs in classes (cm, cn).  Cells are
+        # walked in groups of equal key sizes, largest |key M| * |key N|
+        # first, until a group's bound falls below the running maximum.  Each
+        # orbit is measured at the first cell reached and marked seen over
+        # the letter swaps.  That cell has the orbit's earliest pair: an orbit
+        # lies in one group, a group is walked in ascending cell order, and
+        # classes are numbered by first appearance.  The kernel gets the
+        # running maximum minus one, so a size reaching it is exact and any
+        # other stays below it; so the lowest measured cell of the largest
+        # size holds the earliest pair reaching the maximum.
+        width = len(n_keys)
+        seen = bytearray(len(m_keys) * width)
+        winner = -1
         groups = sorted(
             itertools.product(m_sized, n_sized), key=lambda g: -g[0] * g[1]
         )
@@ -436,28 +431,24 @@ def search_max(
             for cm in m_sized[size_m]:
                 for cn in n_sized[size_n]:
                     cell = cm * width + cn
-                    if size_of[cell] >= 0:
+                    if seen[cell]:
                         continue
                     size = _measured_size(m_keys[cm], n_keys[cn], boolean, best - 1)
                     measured += 1
-                    best = max(best, size)
-                    size_of[cell] = size
+                    if size > best or (size == best and cell < winner):
+                        best, winner = size, cell
+                    seen[cell] = 1
                     orbit = [cell]
                     for x in orbit:
                         xm, xn = divmod(x, width)
                         for to_m, to_n in swaps:
                             y = to_m[xm] * width + to_n[xn]
-                            if size_of[y] < 0:
-                                size_of[y] = size
+                            if not seen[y]:
+                                seen[y] = 1
                                 orbit.append(y)
         examined = pairs
-        # The earliest pair in enumeration order reaching the maximum.
-        for i, cm in enumerate(m_class):
-            row = size_of[cm * width : (cm + 1) * width]
-            if best in row:
-                j = min(n_first[cn] for cn in range(width) if row[cn] == best)
-                best_pair = (ms[i], ns[j])
-                break
+        cm, cn = divmod(winner, width)
+        best_pair = (m_first[cm], n_first[cn])
     else:
         if mode.samples > pair_budget:
             raise BudgetExceeded(mode.samples, pair_budget, "pairs")

@@ -143,7 +143,7 @@ def format_dfa(d: Dfa) -> str:
 def format_dot(d: Dfa) -> str:
     """Graphviz rendering: double circles for finals, an entry arrow for the
     start, and one labelled edge per (state, symbol)."""
-    names = d.alphabet.symbols
+    names = [name.replace("\\", "\\\\").replace('"', '\\"') for name in d.alphabet]
     lines = [
         "digraph dfa {",
         "  rankdir=LR;",

@@ -31,13 +31,18 @@ def star_witness_m(m: int) -> Dfa:
     return Dfa(STAR_ALPHABET, m, 0, frozenset({m - 1}), rows)
 
 
-def star_witness_n(n: int) -> Dfa:
-    """Second star-family machine: ``c`` steps around an n-cycle, ``a`` and
-    ``b`` are the identity; the single final state is n-1."""
+def _c_cycle(n: int, final: int) -> Dfa:
+    """The star family's n-cycle on ``c``, with one final state ``final``."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rows = tuple((i, i, (i + 1) % n) for i in range(n))
-    return Dfa(STAR_ALPHABET, n, 0, frozenset({n - 1}), rows)
+    return Dfa(STAR_ALPHABET, n, 0, frozenset({final}), rows)
+
+
+def star_witness_n(n: int) -> Dfa:
+    """Second star-family machine: ``c`` steps around an n-cycle, ``a`` and
+    ``b`` are the identity; the single final state is n-1."""
+    return _c_cycle(n, n - 1)
 
 
 def star_witness_n_intersection(n: int) -> Dfa:
@@ -53,10 +58,7 @@ def star_witness_n_intersection(n: int) -> Dfa:
     collapses that pair and every grid cell measures one below the closed
     form.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    rows = tuple((i, i, (i + 1) % n) for i in range(n))
-    return Dfa(STAR_ALPHABET, n, 0, frozenset({0}), rows)
+    return _c_cycle(n, 0)
 
 
 def reversal_witness_m(m: int) -> Dfa:

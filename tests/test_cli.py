@@ -470,6 +470,10 @@ def test_search_budget_env_var(capsys, monkeypatch):
             "need 0 <= seed < 2**64, got -1",
         ),
         (
+            "search star-union --m 2 --n 2 --sigma 1 --exhaustive --seed -7",
+            "--seed needs --samples",
+        ),
+        (
             "search star-union --m 3 --n 3 --sigma 2 --exhaustive",
             "would examine 34012224 pairs, over the budget of 2097152",
         ),

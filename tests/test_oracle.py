@@ -186,6 +186,9 @@ def test_search_mode_validates_itself():
         SearchMode.sampled(0, 0)
     with pytest.raises(ValueError, match="unknown search mode"):
         SearchMode("bogus")
+    for samples, seed in ((5, 0), (0, 3)):
+        with pytest.raises(ValueError, match="exhaustive mode takes no"):
+            SearchMode("exhaustive", samples, seed)
     assert SearchMode.sampled(1, (1 << 64) - 1).seed == (1 << 64) - 1
 
 
@@ -400,7 +403,7 @@ def test_reversal_maxima_agree_under_complement(unpruned, sigma):
 @pytest.mark.parametrize("op", [CombinedOp.STAR_UNION, CombinedOp.REVERSAL_UNION])
 def test_exhaustive_sizes_that_reach_the_maximum_are_exact(monkeypatch, op):
     # a reachable count standing in for a size must stay below the maximum,
-    # or the earliest-pair scan could stop at a pair that only seems to tie
+    # or the search could keep a pair that only seems to tie
     calls = []
 
     def recording(d1, dN, mode, best=-1):
@@ -414,6 +417,37 @@ def test_exhaustive_sizes_that_reach_the_maximum_are_exact(monkeypatch, op):
     for d1, dN, size in calls:
         if size >= report.observed_max:
             assert size == _measured_size(d1, dN, op.boolean_mode), (d1, dN)
+
+
+@pytest.mark.parametrize(
+    "op", [CombinedOp.STAR_UNION, CombinedOp.REVERSAL_INTERSECTION]
+)
+def test_each_orbit_is_measured_at_its_earliest_pair(monkeypatch, op):
+    # the search keeps the earliest pair reaching the maximum among the
+    # pairs it measures, so each orbit must be measured where its first
+    # pair in enumeration order lies: no renaming of the letters may take
+    # the measured keys to classes that appear earlier
+    machines = []
+    enumerate_dfas(2, STAR_ALPHABET, machines.append)
+    first_m, first_n = {}, {}
+    for i, d in enumerate(machines):
+        first_m.setdefault(minimize(first_component(d, op).dfa), i)
+        first_n.setdefault(minimize(d), i)
+    calls = []
+
+    def recording(d1, dN, mode, best=-1):
+        calls.append((d1, dN))
+        return _measured_size(d1, dN, mode, best)
+
+    monkeypatch.setattr(oracle, "_measured_size", recording)
+    report = search_max(op, 2, 2, STAR_ALPHABET, SearchMode.exhaustive())
+    assert len(calls) == report.pairs_measured
+    perms = list(itertools.permutations(range(len(STAR_ALPHABET))))
+    for km, kn in calls:
+        at = (first_m[km], first_n[kn])
+        for perm in perms:
+            moved = (first_m[renamed(km, perm)], first_n[renamed(kn, perm)])
+            assert at <= moved, (km, kn, perm)
 
 
 @pytest.mark.parametrize("op", list(CombinedOp))

@@ -181,3 +181,10 @@ def test_dot_output_shape():
     assert '1 -> 0 [label="c"];' in dot
     assert dot.count("[label=") == d.state_count * d.sigma
     assert dot.rstrip().endswith("}")
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    d = parse_dfa('dfa\nalphabet " \\\nstates 1\nstart 0\nfinal 0\n0 " 0\n0 \\ 0\n')
+    dot = format_dot(d)
+    assert r'0 -> 0 [label="\""];' in dot
+    assert r'0 -> 0 [label="\\"];' in dot
