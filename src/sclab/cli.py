@@ -32,6 +32,7 @@ from .core import Dfa, Alphabet
 from .minimization import state_complexity
 from .oracle import (
     BudgetExceeded,
+    DEFAULT_MACHINE_BUDGET,
     DEFAULT_PAIR_BUDGET,
     SearchMode,
     SearchReport,
@@ -160,7 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--max-n", type=int, help="override the n cap")
 
     p_search = sub.add_parser(
-        "search", help="search DFA pairs for the worst measured size"
+        "search",
+        help="search DFA pairs for the worst measured size",
+        epilog=f"{BUDGET_ENV_VAR} (default {DEFAULT_PAIR_BUDGET}) caps the pair "
+        "machines a search may build: one per pair of language classes with "
+        "--exhaustive, one per sample with --samples. Each side of an "
+        f"exhaustive search is also capped at {DEFAULT_MACHINE_BUDGET} machines.",
     )
     p_search.add_argument("op", choices=op_names)
     p_search.add_argument("--m", type=int, required=True)

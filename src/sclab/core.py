@@ -36,6 +36,11 @@ def _shaped(
         raise error(f"{what}, got {reprlib.repr(value)}") from None
 
 
+def _is_int(value: object) -> bool:
+    """An ``int`` that is not a ``bool``, which would pass for 0 or 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered symbol names; the index of a name is the symbol's identity."""
@@ -107,15 +112,15 @@ class Dfa:
 
     def _first_problem(self) -> str | None:
         m = self.state_count
-        if not isinstance(m, int):
+        if not _is_int(m):
             return f"state count must be an integer, got {m!r}"
         if m < 1:
             return f"state count must be positive, got {m}"
-        if not isinstance(self.start, int):
+        if not _is_int(self.start):
             return f"start state must be an integer, got {self.start!r}"
         if not 0 <= self.start < m:
             return f"start state {self.start} out of range for {m} states"
-        odd = sorted(repr(q) for q in self.finals if not isinstance(q, int))
+        odd = sorted(repr(q) for q in self.finals if not _is_int(q))
         if odd:
             return f"final state must be an integer, got {odd[0]}"
         for q in sorted(self.finals):
@@ -131,7 +136,7 @@ class Dfa:
                 t = row[a] if a < len(row) else None
                 if t is None:
                     return f"missing transition from state {q} on symbol {name!r}"
-                if not isinstance(t, int):
+                if not _is_int(t):
                     return (
                         f"transition from state {q} on symbol {name!r} "
                         f"targets {t!r}, not an integer"
@@ -209,14 +214,14 @@ class Nfa:
 
     def _first_problem(self) -> str | None:
         m = self.state_count
-        if not isinstance(m, int):
+        if not _is_int(m):
             return f"state count must be an integer, got {m!r}"
         if m < 1:
             return f"state count must be positive, got {m}"
 
         def stranger(states: frozenset[int]) -> str | None:
             """The smallest repr among ``states`` that is not a state."""
-            odd = [q for q in states if not isinstance(q, int) or not 0 <= q < m]
+            odd = [q for q in states if not _is_int(q) or not 0 <= q < m]
             return min(map(repr, odd), default=None)
 
         for what, states in (("start", self.starts), ("final", self.finals)):

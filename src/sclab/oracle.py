@@ -13,6 +13,7 @@ from .core import (
     Alphabet,
     Dfa,
     _check_word,
+    _is_int,
     dfa_accepts,
     reachable,
     relabel_canonical,
@@ -35,7 +36,8 @@ _MASK64 = (1 << 64) - 1
 
 
 class BudgetExceeded(RuntimeError):
-    """Enumeration would visit more machines or pairs than the budget allows."""
+    """A search would enumerate more machines, or build more pair machines,
+    than its budget allows."""
 
     def __init__(self, needed: int, budget: int, what: str = "machines"):
         super().__init__(
@@ -185,23 +187,20 @@ def dfa_space_size(states: int, alphabet: Alphabet) -> int:
 
 
 def enumerate_dfas(
-    states: int,
-    alphabet: Alphabet,
-    consumer: Callable[[Dfa], None],
-    budget: int = DEFAULT_MACHINE_BUDGET,
+    states: int, alphabet: Alphabet, consumer: Callable[[Dfa], None]
 ) -> int:
     """Feed every complete DFA with the start fixed at 0 to ``consumer``.
 
     Fixing the start loses no languages, since any DFA can be relabeled to
     start at 0.  Returns the number of machines emitted; refuses up front,
-    reporting the computed count, when it exceeds ``budget``.
+    reporting the computed count, when it exceeds ``DEFAULT_MACHINE_BUDGET``.
     """
     if states < 1:
         raise ValueError(f"need at least one state, got {states}")
     sigma = len(alphabet)
     total = dfa_space_size(states, alphabet)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    if total > DEFAULT_MACHINE_BUDGET:
+        raise BudgetExceeded(total, DEFAULT_MACHINE_BUDGET)
     final_sets = [
         frozenset(q for q in range(states) if mask >> q & 1)
         for mask in range(1 << states)
@@ -241,14 +240,16 @@ class SearchMode:
     def __post_init__(self) -> None:
         if self.kind not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown search mode: {self.kind!r}")
-        if self.kind == "exhaustive" and (self.samples or self.seed):
+        if self.kind == "exhaustive" and any(
+            not _is_int(v) or v for v in (self.samples, self.seed)
+        ):
             raise ValueError("exhaustive mode takes no sample count or seed")
         if self.kind == "sampled":
-            if self.samples < 1:
+            if not _is_int(self.samples) or self.samples < 1:
                 raise ValueError(f"need a positive sample count, got {self.samples}")
             # splitmix64 keeps the low 64 bits of a seed, so any other value
             # would repeat a search in range while reporting a different seed.
-            if not 0 <= self.seed <= _MASK64:
+            if not _is_int(self.seed) or not 0 <= self.seed <= _MASK64:
                 raise ValueError(f"need 0 <= seed < 2**64, got {self.seed}")
 
     @staticmethod
@@ -266,10 +267,7 @@ class SearchReport:
     pair reaching ``observed_max``, in enumeration order or in the sample
     stream.  ``machines_examined`` counts the (M, N) pairs the search
     covers; ``pairs_measured`` counts the pairs whose pair machine it
-    built: in exhaustive mode one per orbit whose key sizes
-    ``|key M| * |key N|`` could still reach the running maximum, and in
-    sampled mode every pair whose first component times ``n`` states could
-    still beat it."""
+    built."""
 
     op: CombinedOp
     m: int
@@ -302,24 +300,20 @@ def _measured_size(d1: Dfa, dN: Dfa, mode: BooleanMode, best: int = -1) -> int:
 
 def _classes(
     machines: list[Dfa], key: Callable[[Dfa], Dfa]
-) -> tuple[list[Dfa], list[Dfa]]:
+) -> tuple[list[Dfa], list[Dfa], dict[int, list[int]]]:
     """Group machines by key, numbering the classes by first appearance.
 
-    Returns the distinct keys in class order and the first machine of each
-    class, so a lower class number means an earlier first machine.
+    Returns the distinct keys in class order, the first machine of each
+    class (so a lower class number means an earlier first machine), and the
+    classes of each key size in ascending class order.
     """
     first: dict[Dfa, Dfa] = {}
     for d in machines:
         first.setdefault(key(d), d)
-    return list(first), list(first.values())
-
-
-def _by_state_count(keys: list[Dfa]) -> dict[int, list[int]]:
-    """The classes of each key size, each list in ascending class order."""
     sized: dict[int, list[int]] = {}
-    for c, key in enumerate(keys):
-        sized.setdefault(key.state_count, []).append(c)
-    return sized
+    for c, k in enumerate(first):
+        sized.setdefault(k.state_count, []).append(c)
+    return list(first), list(first.values()), sized
 
 
 def _letter_swaps(distinct: list[Dfa]) -> list[list[int]]:
@@ -363,30 +357,14 @@ def search_max(
     """Maximise the measured minimal size of ``op`` over pairs of DFAs.
 
     Exhaustive mode covers every pair of complete machines with starts
-    fixed at 0 (refusing over ``pair_budget`` pairs); sampled mode draws
-    seeded random pairs.  Deterministic for fixed arguments; ties go to the
-    earliest pair, and the winner is re-measured through the public
-    pipeline before reporting.
-
-    The exhaustive search measures one pair per orbit, not every pair.  The
-    measured size depends only on the languages op(L(M)) and L(N), so M is
-    classed by the minimal DFA of its first component and N by its own
-    minimal DFA.  Renaming letters commutes with star, reversal and the
-    products, so one size also holds for every pair of classes reached
-    from a measured one by renaming both sides alike.  Those pairs are only
-    marked as covered: the search keeps no table of sizes, and the earliest
-    pair reaching the maximum is kept as the walk runs.
-
-    Both searches are a branch and bound on structural bounds only, never
-    on the closed forms.  In exhaustive mode the pair machine of two class
-    keys has at most ``|key M| * |key N|`` states, so orbits are measured
-    in descending order of that product, and only while it can still reach
-    the running maximum.  In sampled mode a pair can change the report only
-    if its size is strictly above the running maximum, and its size is at
-    most its reachable pair count, which is at most
-    ``|first component| * n``.  Both seeds of a pair are drawn in order
-    whether or not the pair is measured, so the sample stream and the
-    achieving pair do not depend on the pruning.
+    fixed at 0; sampled mode draws ``mode.samples`` seeded random pairs.
+    ``pair_budget`` bounds the pair machines a search could build: one per
+    pair of language classes in exhaustive mode, one per sample in sampled
+    mode.  Exhaustive mode checks it once both sides are enumerated (each
+    refused over ``DEFAULT_MACHINE_BUDGET`` machines) and classed.  Over a
+    budget, ``BudgetExceeded`` is raised.  Deterministic for fixed
+    arguments; ties go to the earliest pair, and the winner is re-measured
+    through the public pipeline before reporting.
     """
     if m < 2 or n < 2:
         raise ValueError(f"need m, n >= 2, got m={m}, n={n}")
@@ -397,30 +375,35 @@ def search_max(
     examined = 0
     measured = 0
     if mode.kind == "exhaustive":
-        pairs = dfa_space_size(m, alphabet) * dfa_space_size(n, alphabet)
-        if pairs > pair_budget:
-            raise BudgetExceeded(pairs, pair_budget, "pairs")
         ms: list[Dfa] = []
         ns: list[Dfa] = []
         enumerate_dfas(m, alphabet, ms.append)
         enumerate_dfas(n, alphabet, ns.append)
-        m_keys, m_first = _classes(ms, lambda d: minimize(first_component(d, op).dfa))
-        n_keys, n_first = _classes(ns, minimize)
+        m_keys, m_first, m_sized = _classes(
+            ms, lambda d: minimize(first_component(d, op).dfa)
+        )
+        n_keys, n_first, n_sized = _classes(ns, minimize)
+        cells = len(m_keys) * len(n_keys)
+        if cells > pair_budget:
+            raise BudgetExceeded(cells, pair_budget, "class pairs")
         swaps = list(zip(_letter_swaps(m_keys), _letter_swaps(n_keys)))
-        m_sized = _by_state_count(m_keys)
-        n_sized = _by_state_count(n_keys)
-        # Cell cm * width + cn holds the pairs in classes (cm, cn).  Cells are
-        # walked in groups of equal key sizes, largest |key M| * |key N|
-        # first, until a group's bound falls below the running maximum.  Each
-        # orbit is measured at the first cell reached and marked seen over
-        # the letter swaps.  That cell has the orbit's earliest pair: an orbit
-        # lies in one group, a group is walked in ascending cell order, and
-        # classes are numbered by first appearance.  The kernel gets the
-        # running maximum minus one, so a size reaching it is exact and any
-        # other stays below it; so the lowest measured cell of the largest
-        # size holds the earliest pair reaching the maximum.
+        # The measured size depends only on the languages op(L(M)) and L(N),
+        # so M is classed by the minimal DFA of its first component, N by its
+        # own, and cell cm * width + cn holds the pairs in classes (cm, cn).
+        # Renaming letters commutes with star, reversal and the products, so
+        # an orbit of cells under the letter swaps has one size.  A pair
+        # machine of two keys has at most |key M| * |key N| states, so cells
+        # are walked in groups of equal key sizes, largest product first,
+        # until a group's bound falls below the running maximum.  Each orbit
+        # is measured at the first cell reached and marked seen; that cell
+        # has the orbit's earliest pair, since an orbit lies in one group, a
+        # group is walked in ascending cell order, and classes are numbered
+        # by first appearance.  The kernel gets the running maximum minus
+        # one, so a size reaching it is exact and any other stays below it;
+        # so the lowest measured cell of the largest size holds the earliest
+        # pair reaching the maximum.
         width = len(n_keys)
-        seen = bytearray(len(m_keys) * width)
+        seen = bytearray(cells)
         winner = -1
         groups = sorted(
             itertools.product(m_sized, n_sized), key=lambda g: -g[0] * g[1]
@@ -446,7 +429,7 @@ def search_max(
                             if not seen[y]:
                                 seen[y] = 1
                                 orbit.append(y)
-        examined = pairs
+        examined = len(ms) * len(ns)
         cm, cn = divmod(winner, width)
         best_pair = (m_first[cm], n_first[cn])
     else:
@@ -458,7 +441,9 @@ def search_max(
             n_seed = rng.next_uint64()
             first = first_component(dM, op).dfa
             # The pair machine has at most |first| * n states, so a pair
-            # that cannot pass the running maximum is not built at all.
+            # that cannot pass the running maximum is not built at all.  Both
+            # seeds are drawn either way, so the sample stream and the
+            # achieving pair do not depend on this pruning.
             if first.state_count * n > best:
                 dN = random_dfa(n, alphabet, n_seed)
                 size = _measured_size(first, dN, boolean, best)

@@ -95,8 +95,10 @@ def parse_dfa(text: str) -> Dfa:
             raise ParseError(line, f"final state {q} listed twice")
         finals.add(q)
 
+    # Keyed by (state, symbol), so a claimed state count allocates nothing
+    # before its lines are read; states * sigma distinct keys fill each row.
     sigma = len(alphabet)
-    table: list[list[int | None]] = [[None] * sigma for _ in range(state_count)]
+    targets: dict[tuple[int, int], int] = {}
     for _ in range(state_count * sigma):
         line, tokens = take("a transition line")
         if len(tokens) != 3:
@@ -111,15 +113,16 @@ def parse_dfa(text: str) -> Dfa:
         t = _int(tokens[2], line, "target state")
         if not 0 <= t < state_count:
             raise ParseError(line, f"target state {t} out of range for {state_count} states")
-        if table[q][a] is not None:
+        if (q, a) in targets:
             raise ParseError(
                 line, f"duplicate transition from state {q} on symbol {tokens[1]!r}"
             )
-        table[q][a] = t
+        targets[q, a] = t
 
     if pos < len(rows):
         line, tokens = rows[pos]
         raise ParseError(line, f"unexpected trailing content: {' '.join(tokens)!r}")
+    table = [[targets[q, a] for a in range(sigma)] for q in range(state_count)]
     return Dfa(alphabet, state_count, start, finals, table)
 
 

@@ -474,8 +474,8 @@ def test_search_budget_env_var(capsys, monkeypatch):
             "--seed needs --samples",
         ),
         (
-            "search star-union --m 3 --n 3 --sigma 2 --exhaustive",
-            "would examine 34012224 pairs, over the budget of 2097152",
+            "search star-union --m 2 --n 5 --sigma 2 --exhaustive",
+            "would examine 312500000 machines, over the budget of 2097152",
         ),
         ("sweep star-union --m 5..3 --n 2", "bad m range '5..3': 5 > 3"),
         ("sweep star-union --m 2 --n 2..9", "n range 2..9 outside 2..8"),

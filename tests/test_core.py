@@ -68,6 +68,7 @@ NFA_ROWS = (({1}, {0}), ({0}, {1}))
         ((AB, 2, {5}, {1}, NFA_ROWS), "start state 5 is not one of the 2 states"),
         ((AB, 2, {0}, {9}, NFA_ROWS), "final state 9 is not one of the 2 states"),
         ((AB, 2, {0}, {"1"}, NFA_ROWS), "final state '1' is not one of the 2 states"),
+        ((AB, 2, {False}, {1}, NFA_ROWS), "start state False is not one of the 2 states"),
         ((AB, 2, {0}, {1}, NFA_ROWS[:1]), "transition table has 1 rows for 2 states"),
         ((AB, 2, {0}, {1}, (({1},), ({0}, {1}))), "state 0 has 1 cells for 2 symbols"),
         (
@@ -90,6 +91,7 @@ NFA_ROWS = (({1}, {0}), ({0}, {1}))
         "start",
         "final",
         "final-type",
+        "start-bool",
         "rows",
         "short-row",
         "target",
@@ -185,12 +187,20 @@ def test_non_integer_state_count_is_invalid():
         (AB, 2.0, 0, frozenset(), ((1, 0), (0, 1))),
         "state count must be an integer, got 2.0",
     )
+    check_message(
+        (AB, True, 0, frozenset(), ((0, 0),)),
+        "state count must be an integer, got True",
+    )
 
 
 def test_non_integer_start_is_invalid():
     check_message(
         (AB, 2, 1.0, frozenset(), ((1, 0), (0, 1))),
         "start state must be an integer, got 1.0",
+    )
+    check_message(
+        (AB, 2, False, frozenset(), ((1, 0), (0, 1))),
+        "start state must be an integer, got False",
     )
 
 
@@ -199,12 +209,17 @@ def test_non_integer_final_is_invalid():
     check_message((AB, 2, 0, {1.0}, rows), "final state must be an integer, got 1.0")
     # a name among integer finals cannot even be ordered against them
     check_message((AB, 2, 0, {0, "1"}, rows), "final state must be an integer, got '1'")
+    check_message((AB, 2, 0, {True}, rows), "final state must be an integer, got True")
 
 
 def test_non_integer_target_is_invalid():
     check_message(
         (AB, 2, 0, frozenset({1}), ((1.0, 0), (0, 1))),
         "transition from state 0 on symbol 'a' targets 1.0, not an integer",
+    )
+    check_message(
+        (AB, 2, 0, frozenset({1}), ((True, 0), (0, 1))),
+        "transition from state 0 on symbol 'a' targets True, not an integer",
     )
 
 

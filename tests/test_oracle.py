@@ -119,10 +119,12 @@ def test_enumerate_dfas_counts_and_budget():
     assert enumerate_dfas(2, AB, seen.append) == 64
     assert len(set(seen)) == 64
     assert all(d.start == 0 for d in seen)
+    seen.clear()
     with pytest.raises(BudgetExceeded) as err:
-        enumerate_dfas(3, STAR_ALPHABET, seen.append, budget=100)
-    assert err.value.needed == 3 ** 9 * 8
-    assert err.value.budget == 100
+        enumerate_dfas(5, AB, seen.append)
+    assert err.value.needed == 312_500_000
+    assert err.value.budget == DEFAULT_MACHINE_BUDGET
+    assert seen == []
     with pytest.raises(ValueError):
         enumerate_dfas(0, AB, seen.append)
 
@@ -190,6 +192,13 @@ def test_search_mode_validates_itself():
         with pytest.raises(ValueError, match="exhaustive mode takes no"):
             SearchMode("exhaustive", samples, seed)
     assert SearchMode.sampled(1, (1 << 64) - 1).seed == (1 << 64) - 1
+    # a bool is not a count or a seed, though it compares like 0 or 1
+    with pytest.raises(ValueError, match="sample count"):
+        SearchMode.sampled(True, 0)
+    with pytest.raises(ValueError, match="seed"):
+        SearchMode.sampled(1, False)
+    with pytest.raises(ValueError, match="exhaustive mode takes no"):
+        SearchMode("exhaustive", False)
 
 
 def test_search_max_small_exhaustive_star():
@@ -248,6 +257,19 @@ def test_a_raised_pair_budget_keeps_the_machine_budget():
     assert err.value.needed == 312_500_000
     assert err.value.budget == DEFAULT_MACHINE_BUDGET
     assert "312500000 machines" in str(err.value)
+
+
+def test_exhaustive_budget_counts_class_pairs_not_pairs_covered():
+    # 2x2-state machines on three letters: 65,536 pairs covered, but the
+    # class table the search builds has 69 M classes x 114 N classes
+    alphabet = Alphabet(("a", "b", "c"))
+    mode = SearchMode.exhaustive()
+    report = search_max(CombinedOp.STAR_UNION, 2, 2, alphabet, mode, pair_budget=7_866)
+    assert report.machines_examined == 65_536
+    with pytest.raises(BudgetExceeded, match="class pairs") as err:
+        search_max(CombinedOp.STAR_UNION, 2, 2, alphabet, mode, pair_budget=7_865)
+    assert err.value.needed == 69 * 114 == 7_866
+    assert err.value.budget == 7_865
 
 
 def test_search_max_ties_go_to_the_earliest_pair():

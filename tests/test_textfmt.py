@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from sclab import Dfa, ParseError, format_dfa, format_dot, parse_dfa
@@ -134,6 +136,21 @@ def test_parse_error_trailing_content():
 def test_parse_error_non_integer_token():
     with pytest.raises(ParseError, match="expected an integer"):
         parse_dfa("dfa\nalphabet a\nstates x\nstart 0\nfinal\n0 a 0\n")
+
+
+def test_a_claimed_state_count_allocates_nothing_before_the_transitions():
+    text = "dfa\nalphabet a\nstates 1000000\nstart 0\nfinal\n0 a 0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_dfa(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "line 7: unexpected end of input, expected a transition line"
+    )
+    assert peak < 1 << 20
 
 
 HEADER = "dfa\nalphabet a\nstates 1\nstart 0\nfinal\n"
