@@ -23,6 +23,7 @@ from .constructions import (
     BooleanMode,
     CombinedOp,
     first_component,
+    first_component_cap,
     pair_finals,
     pair_rows,
 )
@@ -33,6 +34,14 @@ DEFAULT_PAIR_BUDGET = 1 << 21
 DEFAULT_MACHINE_BUDGET = 1 << 21
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z: int) -> int:
+    """splitmix64's output for the state ``z``."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class BudgetExceeded(RuntimeError):
@@ -58,13 +67,12 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self._state = (self._state + _GAMMA) & _MASK64
+        return _mix(self._state)
 
     def below(self, bound: int) -> int:
+        if not _is_int(bound) or bound < 1:
+            raise ValueError(f"need a positive bound, got {bound!r}")
         return self.next_uint64() % bound
 
 
@@ -195,8 +203,8 @@ def enumerate_dfas(
     start at 0.  Returns the number of machines emitted; refuses up front,
     reporting the computed count, when it exceeds ``DEFAULT_MACHINE_BUDGET``.
     """
-    if states < 1:
-        raise ValueError(f"need at least one state, got {states}")
+    if not _is_int(states) or states < 1:
+        raise ValueError(f"need at least one state, got {states!r}")
     sigma = len(alphabet)
     total = dfa_space_size(states, alphabet)
     if total > DEFAULT_MACHINE_BUDGET:
@@ -217,16 +225,34 @@ def enumerate_dfas(
 def random_dfa(states: int, alphabet: Alphabet, seed: int) -> Dfa:
     """Uniform random transitions and a fair coin per state for finality,
     drawn from the documented splitmix64 stream: transitions first in
-    row-major order, then one finality draw per state.  Start fixed at 0."""
-    if states < 1:
-        raise ValueError(f"need at least one state, got {states}")
+    row-major order, then one finality draw per state.  Start fixed at 0.
+    Each transition is ``SplitMix64(seed).below(states)`` in turn and each
+    finality draw is ``next_uint64() & 1``."""
+    if not _is_int(states) or states < 1:
+        raise ValueError(f"need at least one state, got {states!r}")
     sigma = len(alphabet)
-    rng = SplitMix64(seed)
+    z = seed & _MASK64
+    targets = []
+    for _ in range(states * sigma):
+        z = (z + _GAMMA) & _MASK64
+        targets.append(_mix(z) % states)
     rows = tuple(
-        tuple(rng.below(states) for _ in range(sigma)) for _ in range(states)
+        tuple(targets[q * sigma : (q + 1) * sigma]) for q in range(states)
     )
-    finals = frozenset(q for q in range(states) if rng.next_uint64() & 1)
+    finals = _random_finals(states, sigma, seed)
     return Dfa._trusted(alphabet, states, 0, finals, rows)
+
+
+def _random_finals(states: int, sigma: int, seed: int) -> frozenset[int]:
+    """The finals ``random_dfa`` draws on ``sigma`` letters, read without
+    the transitions: after i draws the stream's state is seed + i * gamma."""
+    z = (seed + states * sigma * _GAMMA) & _MASK64
+    finals = []
+    for q in range(states):
+        z = (z + _GAMMA) & _MASK64
+        if _mix(z) & 1:
+            finals.append(q)
+    return frozenset(finals)
 
 
 @dataclass(frozen=True)
@@ -362,7 +388,9 @@ def search_max(
     pair of language classes in exhaustive mode, one per sample in sampled
     mode.  Exhaustive mode checks it once both sides are enumerated (each
     refused over ``DEFAULT_MACHINE_BUDGET`` machines) and classed.  Over a
-    budget, ``BudgetExceeded`` is raised.  Deterministic for fixed
+    budget, ``BudgetExceeded`` is raised.  Sampled mode measures a pair
+    only if a bound on its size, from M's finals and then from M's first
+    component, can pass the running maximum.  Deterministic for fixed
     arguments; ties go to the earliest pair, and the winner is re-measured
     through the public pipeline before reporting.
     """
@@ -436,14 +464,21 @@ def search_max(
         if mode.samples > pair_budget:
             raise BudgetExceeded(mode.samples, pair_budget, "pairs")
         rng = SplitMix64(mode.seed)
+        sigma = len(alphabet)
         for _ in range(mode.samples):
-            dM = random_dfa(m, alphabet, rng.next_uint64())
+            m_seed = rng.next_uint64()
             n_seed = rng.next_uint64()
+            # The pair machine has at most |first| * n states, and |first| is
+            # at most the cap of M's finals, which are read before M is
+            # built.  A pair whose bound cannot pass the running maximum is
+            # built no further.  Both seeds are drawn either way, so the
+            # sample stream and the achieving pair do not depend on this
+            # pruning.
+            finals = _random_finals(m, sigma, m_seed)
+            if first_component_cap(op, m, 0, finals) * n <= best:
+                continue
+            dM = random_dfa(m, alphabet, m_seed)
             first = first_component(dM, op).dfa
-            # The pair machine has at most |first| * n states, so a pair
-            # that cannot pass the running maximum is not built at all.  Both
-            # seeds are drawn either way, so the sample stream and the
-            # achieving pair do not depend on this pruning.
             if first.state_count * n > best:
                 dN = random_dfa(n, alphabet, n_seed)
                 size = _measured_size(first, dN, boolean, best)

@@ -21,6 +21,7 @@ from sclab import (
     star_explicit,
     equivalent,
 )
+from sclab.constructions import first_component_cap
 from sclab.oracle import random_dfa, reverse_membership_oracle, star_membership_oracle
 from sclab.witnesses import (
     REVERSAL_ALPHABET,
@@ -365,6 +366,38 @@ def test_star_walk_reaches_the_explicit_count_on_the_witnesses():
         sub = first_component(d, CombinedOp.STAR_UNION)
         assert sub.dfa.state_count == 2 ** (m - 1) + 2 ** (m - k - 1), m
         assert equivalent(sub.dfa, star_explicit(d).dfa), m
+
+
+def test_first_component_stays_within_its_cap():
+    machines = []
+    for alphabet in (Alphabet(("a",)), AB):
+        for m in (1, 2, 3):
+            enumerate_dfas(m, alphabet, machines.append)
+    abc = Alphabet(("a", "b", "c"))
+    for seed in range(200):
+        m = 1 + seed % 6
+        d = random_dfa(m, abc, seed)
+        machines.append(Dfa(abc, m, seed // 6 % m, d.finals, d.delta))
+    for op in CombinedOp:
+        # the largest first component per start and finals, over the
+        # enumerated binary machines
+        reached = {}
+        for d in machines:
+            m = d.state_count
+            size = first_component(d, op).dfa.state_count
+            assert size <= first_component_cap(op, m, d.start, d.finals), (op, d)
+            if d.alphabet == AB:
+                key = m, d.start, d.finals
+                reached[key] = max(reached.get(key, 0), size)
+        # binary machines reach the cap for every finals set at m <= 3,
+        # k = 0 included
+        assert len(reached) == 2 + 4 + 8
+        for (m, start, finals), size in reached.items():
+            assert size == first_component_cap(op, m, start, finals), (op, m, finals)
+        for m in range(2, 9):
+            d = star_witness_m(m) if op.uses_star else reversal_witness_m(m)
+            cap = first_component_cap(op, m, d.start, d.finals)
+            assert first_component(d, op).dfa.state_count == cap, (op, m)
 
 
 def test_star_walk_labels_are_the_simulated_subsets():

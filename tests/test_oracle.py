@@ -30,7 +30,7 @@ from sclab import (
     table_filling_minimize,
 )
 from sclab import oracle
-from sclab.oracle import _measured_size
+from sclab.oracle import _measured_size, _random_finals
 from sclab.witnesses import (
     STAR_ALPHABET,
     reversal_witness_m,
@@ -137,6 +137,49 @@ def test_random_dfa_is_seed_deterministic():
     assert d1 != d3
     assert d1.start == 0
     assert d1.state_count == 4
+
+
+def reference_random_dfa(states, alphabet, seed):
+    """``random_dfa`` as its docstring states it, one generator draw at a
+    time."""
+    sigma = len(alphabet)
+    rng = SplitMix64(seed)
+    rows = tuple(
+        tuple(rng.below(states) for _ in range(sigma)) for _ in range(states)
+    )
+    finals = frozenset(q for q in range(states) if rng.next_uint64() & 1)
+    return Dfa(alphabet, states, 0, finals, rows)
+
+
+def test_random_dfa_is_the_documented_stream():
+    for sigma in (1, 2, 3, 4):
+        alphabet = Alphabet(("a", "b", "c", "d")[:sigma])
+        for m in range(1, 7):
+            for seed in (0, 7, (1 << 64) - 1, (1 << 64) + 5):
+                expected = reference_random_dfa(m, alphabet, seed)
+                assert random_dfa(m, alphabet, seed) == expected, (m, sigma, seed)
+                assert _random_finals(m, sigma, seed) == expected.finals
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: random_dfa(True, AB, 3), "need at least one state, got True"),
+        (lambda: random_dfa(2.5, AB, 3), "need at least one state, got 2.5"),
+        (lambda: random_dfa("3", AB, 3), "need at least one state, got '3'"),
+        (lambda: random_dfa(0, AB, 3), "need at least one state, got 0"),
+        (
+            lambda: enumerate_dfas(True, AB, lambda d: None),
+            "need at least one state, got True",
+        ),
+        (lambda: SplitMix64(1).below(0), "need a positive bound, got 0"),
+        (lambda: SplitMix64(1).below(-3), "need a positive bound, got -3"),
+    ],
+)
+def test_random_builders_reject_a_bad_count(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def assert_rebuilds(d):
@@ -493,16 +536,19 @@ def test_search_kernel_agrees_with_both_minimisers(op):
 def unpruned_search(op, m, n, alphabet, samples, seed):
     """The sampled search without any pruning: every pair of the stream is
     measured through the public pipeline, and the first strict maximum
-    wins."""
+    wins.  Also counts the pairs the documented rule measures: those whose
+    first component times ``n`` passes the running maximum."""
     rng = SplitMix64(seed)
-    best, best_pair = -1, None
+    best, best_pair, measured = -1, None, 0
     for _ in range(samples):
         dM = random_dfa(m, alphabet, rng.next_uint64())
         dN = random_dfa(n, alphabet, rng.next_uint64())
+        if first_component(dM, op).dfa.state_count * n > best:
+            measured += 1
         size = state_complexity(dM, dN, op)
         if size > best:
             best, best_pair = size, (dM, dN)
-    return best, best_pair, samples
+    return best, best_pair, samples, measured
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 3])
@@ -513,11 +559,13 @@ def test_sampled_search_matches_the_unpruned_loop(op, sigma):
         for seed in (0, 7, 0xFFFF_FFFF_FFFF_FFFF):
             mode = SearchMode.sampled(60, seed)
             report = search_max(op, m, n, alphabet, mode)
-            best, best_pair, examined = unpruned_search(op, m, n, alphabet, 60, seed)
+            best, best_pair, examined, measured = unpruned_search(
+                op, m, n, alphabet, 60, seed
+            )
             assert report.observed_max == best
             assert report.achieving_pair == best_pair
             assert report.machines_examined == examined
-            assert report.pairs_measured <= report.machines_examined
+            assert report.pairs_measured == measured
 
 
 @pytest.mark.parametrize("op", list(CombinedOp))
