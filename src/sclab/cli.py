@@ -11,8 +11,8 @@ checks only what the command line alone knows (flags, ranges, files, caps).
 Exit status: 0 on success (bound matched or held), 1 on a mismatch or bound
 violation, 2 when ``main`` catches a ``ValueError`` (the library's domain
 checks, ``InvalidDfa``, ``AlphabetMismatch``, ``ParseError``,
-``StarPrecondition``, ``UsageError``) or a ``BudgetExceeded``.  Nothing else
-maps an error to 2, so an internal fault propagates with its traceback.
+``StarPrecondition``, ``BudgetExceeded``, ``UsageError``).  Nothing else maps
+an error to 2, so an internal fault propagates with its traceback.
 Output is deterministic for fixed arguments except for ``elapsed_ms``.
 """
 
@@ -31,7 +31,6 @@ from .constructions import CombinedOp
 from .core import Dfa, Alphabet
 from .minimization import state_complexity
 from .oracle import (
-    BudgetExceeded,
     DEFAULT_MACHINE_BUDGET,
     DEFAULT_PAIR_BUDGET,
     SearchMode,
@@ -157,8 +156,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m", required=True, help="range like 2..8, or one value")
     p_sweep.add_argument("--n", required=True, help="range like 2..6, or one value")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument("--max-m", type=int, help="override the m cap")
-    p_sweep.add_argument("--max-n", type=int, help="override the n cap")
+    p_sweep.add_argument(
+        "--max-m", type=int, default=SWEEP_MAX_M, help="override the m cap"
+    )
+    p_sweep.add_argument(
+        "--max-n", type=int, default=SWEEP_MAX_N, help="override the n cap"
+    )
 
     p_search = sub.add_parser(
         "search",
@@ -260,9 +263,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ops = [CombinedOp(name) for name in args.ops]
     m_range = _parse_range(args.m, "m")
     n_range = _parse_range(args.n, "n")
-    cap_m = SWEEP_MAX_M if args.max_m is None else args.max_m
-    cap_n = SWEEP_MAX_N if args.max_n is None else args.max_n
-    _check_caps(m_range, n_range, cap_m, cap_n)
+    _check_caps(m_range, n_range, args.max_m, args.max_n)
     records = [r for op in ops for r in sweep_records(op, m_range, n_range)]
     if args.format == "csv":
         print(CSV_HEADER)
@@ -358,7 +359,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, BudgetExceeded) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

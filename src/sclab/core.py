@@ -48,12 +48,15 @@ class Alphabet:
     symbols: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        if not self.symbols:
+        symbols = _shaped(
+            tuple, self.symbols, ValueError, "symbols must be a sequence of names"
+        )
+        object.__setattr__(self, "symbols", symbols)
+        if not symbols:
             raise ValueError("alphabet must have at least one symbol")
         seen: set[str] = set()
-        for name in self.symbols:
-            if not name or any(ch.isspace() for ch in name):
+        for name in symbols:
+            if not isinstance(name, str) or not name or any(map(str.isspace, name)):
                 raise ValueError(f"bad symbol name: {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate symbol: {name!r}")

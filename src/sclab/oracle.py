@@ -44,7 +44,7 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-class BudgetExceeded(RuntimeError):
+class BudgetExceeded(ValueError):
     """A search would enumerate more machines, or build more pair machines,
     than its budget allows."""
 
@@ -325,21 +325,22 @@ def _measured_size(d1: Dfa, dN: Dfa, mode: BooleanMode, best: int = -1) -> int:
 
 
 def _classes(
-    machines: list[Dfa], key: Callable[[Dfa], Dfa]
-) -> tuple[list[Dfa], list[Dfa], dict[int, list[int]]]:
-    """Group machines by key, numbering the classes by first appearance.
+    states: int, alphabet: Alphabet, key: Callable[[Dfa], Dfa]
+) -> tuple[int, list[Dfa], list[Dfa], dict[int, list[int]]]:
+    """Enumerate the machines on ``states`` states and group them by key as
+    they stream past, numbering the classes by first appearance.
 
-    Returns the distinct keys in class order, the first machine of each
-    class (so a lower class number means an earlier first machine), and the
-    classes of each key size in ascending class order.
+    Only the first machine of each class is kept.  Returns the number of
+    machines enumerated, the distinct keys in class order, the first machine
+    of each class (so a lower class number means an earlier first machine),
+    and the classes of each key size in ascending class order.
     """
     first: dict[Dfa, Dfa] = {}
-    for d in machines:
-        first.setdefault(key(d), d)
+    count = enumerate_dfas(states, alphabet, lambda d: first.setdefault(key(d), d))
     sized: dict[int, list[int]] = {}
     for c, k in enumerate(first):
         sized.setdefault(k.state_count, []).append(c)
-    return list(first), list(first.values()), sized
+    return count, list(first), list(first.values()), sized
 
 
 def _letter_swaps(distinct: list[Dfa]) -> list[list[int]]:
@@ -394,7 +395,7 @@ def search_max(
     arguments; ties go to the earliest pair, and the winner is re-measured
     through the public pipeline before reporting.
     """
-    if m < 2 or n < 2:
+    if not (_is_int(m) and _is_int(n)) or m < 2 or n < 2:
         raise ValueError(f"need m, n >= 2, got m={m}, n={n}")
     boolean = op.boolean_mode
     predicted = tight_bound(op, m, n)
@@ -403,14 +404,10 @@ def search_max(
     examined = 0
     measured = 0
     if mode.kind == "exhaustive":
-        ms: list[Dfa] = []
-        ns: list[Dfa] = []
-        enumerate_dfas(m, alphabet, ms.append)
-        enumerate_dfas(n, alphabet, ns.append)
-        m_keys, m_first, m_sized = _classes(
-            ms, lambda d: minimize(first_component(d, op).dfa)
+        m_count, m_keys, m_first, m_sized = _classes(
+            m, alphabet, lambda d: minimize(first_component(d, op).dfa)
         )
-        n_keys, n_first, n_sized = _classes(ns, minimize)
+        n_count, n_keys, n_first, n_sized = _classes(n, alphabet, minimize)
         cells = len(m_keys) * len(n_keys)
         if cells > pair_budget:
             raise BudgetExceeded(cells, pair_budget, "class pairs")
@@ -457,7 +454,7 @@ def search_max(
                             if not seen[y]:
                                 seen[y] = 1
                                 orbit.append(y)
-        examined = len(ms) * len(ns)
+        examined = m_count * n_count
         cm, cn = divmod(winner, width)
         best_pair = (m_first[cm], n_first[cn])
     else:

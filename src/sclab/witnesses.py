@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .core import Alphabet, Dfa
+from .core import Alphabet, Dfa, _is_int
 from .constructions import CombinedOp
 
 STAR_ALPHABET = Alphabet(("a", "b", "c"))
@@ -22,7 +22,7 @@ def star_witness_m(m: int) -> Dfa:
     """First star-family machine: ``a`` steps around an m-cycle, ``b`` does
     too except for a self-loop at 0, ``c`` is the identity; the single final
     state is m-1.  Its star needs ``3 * 2**(m-2)`` states."""
-    if m < 2:
+    if not _is_int(m) or m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     rows = tuple(
         ((i + 1) % m, (i + 1) % m if i else 0, i)
@@ -33,7 +33,7 @@ def star_witness_m(m: int) -> Dfa:
 
 def _c_cycle(n: int, final: int) -> Dfa:
     """The star family's n-cycle on ``c``, with one final state ``final``."""
-    if n < 2:
+    if not _is_int(n) or n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rows = tuple((i, i, (i + 1) % n) for i in range(n))
     return Dfa(STAR_ALPHABET, n, 0, frozenset({final}), rows)
@@ -66,7 +66,7 @@ def reversal_witness_m(m: int) -> Dfa:
     ``b`` moves 0 to 1 and fixes the rest, ``c`` swaps 0 and 1, ``d`` is the
     identity; state 0 is both start and final.  Its reversal needs ``2**m``
     states."""
-    if m < 2:
+    if not _is_int(m) or m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     rows = tuple(
         (
@@ -83,7 +83,7 @@ def reversal_witness_m(m: int) -> Dfa:
 def reversal_witness_n(n: int) -> Dfa:
     """Second reversal-family machine: ``d`` steps around an n-cycle, the
     other symbols are the identity; state 0 is both start and final."""
-    if n < 2:
+    if not _is_int(n) or n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rows = tuple((i, i, i, (i + 1) % n) for i in range(n))
     return Dfa(REVERSAL_ALPHABET, n, 0, frozenset({0}), rows)
@@ -119,7 +119,7 @@ def bound_value(
     rest.  ``k``, the number of finals other than the start, is used only by
     the k-aware star kind and must lie in ``1..m-1``.
     """
-    if m < 2:
+    if not _is_int(m) or m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     if kind is BoundKind.INDIVIDUAL_STAR:
         return 3 * 2 ** (m - 2)
@@ -128,16 +128,16 @@ def bound_value(
     if n is None:
         raise ValueError(f"{kind.value} needs n")
     if kind is BoundKind.INDIVIDUAL_BOOLEAN:
-        if n < 1:
+        if not _is_int(n) or n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         return m * n
     if kind is BoundKind.STAR_COMBINED_UPPER_K:
-        if n < 1:
+        if not _is_int(n) or n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        if k is None or not 1 <= k <= m - 1:
+        if not _is_int(k) or not 1 <= k <= m - 1:
             raise ValueError(f"need 1 <= k <= m - 1, got k={k} for m={m}")
         return pipeline_bound(CombinedOp.STAR_UNION, m, n, k)
-    if n < 2:
+    if not _is_int(n) or n < 2:
         raise ValueError(f"{kind.value} needs n >= 2, got {n}")
     if kind is BoundKind.STAR_COMBINED_TIGHT:
         return pipeline_bound(CombinedOp.STAR_UNION, m, n, 1)
@@ -164,16 +164,16 @@ def pipeline_bound(op: CombinedOp, m: int, n: int, k: int) -> int:
     ``m * n`` holds; reversal ops use ``2**m * n - n + 1`` for any
     ``m >= 1``.
     """
-    if n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if op.uses_star:
-        if m < 2:
+        if not _is_int(m) or m < 2:
             raise ValueError(f"star bounds need m >= 2, got {m}")
-        if not 0 <= k <= m - 1:
+        if not _is_int(k) or not 0 <= k <= m - 1:
             raise ValueError(f"need 0 <= k <= m - 1, got k={k} for m={m}")
         if k == 0:
             return m * n
         return (2 ** (m - 1) + 2 ** (m - k - 1)) * n - n + 1
-    if m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError(f"need m >= 1, got {m}")
     return 2**m * n - n + 1

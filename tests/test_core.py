@@ -38,6 +38,12 @@ def test_alphabet_rejects_bad_symbol_sets():
         Alphabet(("a", "b c"))
     with pytest.raises(ValueError):
         Alphabet(("a", ""))
+    with pytest.raises(ValueError, match="bad symbol name: 1"):
+        Alphabet(("a", 1))
+    with pytest.raises(ValueError, match="bad symbol name: None"):
+        Alphabet((None,))
+    with pytest.raises(ValueError, match="symbols must be a sequence of names"):
+        Alphabet(5)
     with pytest.raises(ValueError):
         STAR_ALPHABET.index("z")
 

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -513,6 +515,38 @@ def test_each_orbit_is_measured_at_its_earliest_pair(monkeypatch, op):
         for perm in perms:
             moved = (first_m[renamed(km, perm)], first_n[renamed(kn, perm)])
             assert at <= moved, (km, kn, perm)
+
+
+def test_exhaustive_search_keeps_only_the_first_machine_of_each_class(monkeypatch):
+    # once the class table is walked, the only enumerated machines alive
+    # are the first machines of the language classes, not the whole space
+    op = CombinedOp.STAR_UNION
+    fed = []
+
+    def tracking(states, alphabet, consumer):
+        def feed(d):
+            fed.append(weakref.ref(d))
+            consumer(d)
+
+        return enumerate_dfas(states, alphabet, feed)
+
+    alive = []
+
+    def counting(d1, dN, mode, best=-1):
+        if not alive:
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in fed))
+        return _measured_size(d1, dN, mode, best)
+
+    monkeypatch.setattr(oracle, "enumerate_dfas", tracking)
+    monkeypatch.setattr(oracle, "_measured_size", counting)
+    report = search_max(op, 2, 2, AB, SearchMode.exhaustive())
+    machines = []
+    enumerate_dfas(2, AB, machines.append)
+    m_classes = {minimize(first_component(d, op).dfa) for d in machines}
+    n_classes = {minimize(d) for d in machines}
+    assert len(fed) == 64 + 64 and report.machines_examined == 64 * 64
+    assert alive == [len(m_classes) + len(n_classes)]
 
 
 @pytest.mark.parametrize("op", list(CombinedOp))

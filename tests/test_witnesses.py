@@ -1,6 +1,6 @@
 import pytest
 
-from sclab import CombinedOp, minimize
+from sclab import CombinedOp, SearchMode, minimize, search_max
 from sclab.oracle import table_filling_minimize
 from sclab.witnesses import (
     BoundKind,
@@ -80,6 +80,67 @@ def test_factories_reject_sizes_below_two():
             factory(1)
         with pytest.raises(ValueError):
             factory(0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: search_max(
+                CombinedOp.STAR_UNION, 3.0, 3, STAR_ALPHABET, SearchMode.sampled(5, 1)
+            ),
+            "need m, n >= 2, got m=3.0, n=3",
+        ),
+        (
+            lambda: search_max(
+                CombinedOp.STAR_UNION, 2, True, STAR_ALPHABET, SearchMode.exhaustive()
+            ),
+            "need m, n >= 2, got m=2, n=True",
+        ),
+        (
+            lambda: pipeline_bound(CombinedOp.STAR_UNION, 3.0, 2, 1),
+            "star bounds need m >= 2, got 3.0",
+        ),
+        (
+            lambda: pipeline_bound(CombinedOp.STAR_UNION, 3, 2, 1.0),
+            "need 0 <= k <= m - 1, got k=1.0 for m=3",
+        ),
+        (
+            lambda: pipeline_bound(CombinedOp.REVERSAL_UNION, 2.0, 2, 0),
+            "need m >= 1, got 2.0",
+        ),
+        (
+            lambda: pipeline_bound(CombinedOp.REVERSAL_UNION, 2, True, 0),
+            "need n >= 1, got True",
+        ),
+        (
+            lambda: tight_bound(CombinedOp.STAR_UNION, 3, 2.5),
+            "star-combined-tight needs n >= 2, got 2.5",
+        ),
+        (lambda: bound_value(BoundKind.INDIVIDUAL_STAR, 3.5), "need m >= 2, got 3.5"),
+        (
+            lambda: bound_value(BoundKind.INDIVIDUAL_BOOLEAN, 2, 1.5),
+            "need n >= 1, got 1.5",
+        ),
+        (
+            lambda: bound_value(BoundKind.STAR_COMBINED_UPPER_K, 3, 2, k=True),
+            "need 1 <= k <= m - 1, got k=True for m=3",
+        ),
+        (lambda: star_witness_m(3.0), "need m >= 2, got 3.0"),
+        (lambda: star_witness_n(2.0), "need n >= 2, got 2.0"),
+        (lambda: star_witness_n_intersection(2.0), "need n >= 2, got 2.0"),
+        (lambda: reversal_witness_m(4.0), "need m >= 2, got 4.0"),
+        (lambda: reversal_witness_n(2.0), "need n >= 2, got 2.0"),
+        (
+            lambda: witness_pair(CombinedOp.REVERSAL_UNION, 3, 2.0),
+            "need n >= 2, got 2.0",
+        ),
+    ],
+)
+def test_sizes_must_be_integers(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_witnesses_are_minimal_by_both_minimisers():
