@@ -54,27 +54,45 @@ class CombinedOp(Enum):
 class SubsetDfa:
     """A DFA plus one label per state recording what the state denotes.
 
-    The subset constructions keep the bit-set of every state instead of
-    building labels; ``labels`` decodes them on first read, so a caller that
-    only wants ``dfa`` never pays for them.
+    ``state_count`` is known as soon as the machine is.  The subset
+    constructions record the walk rather than its table: ``dfa`` builds the
+    transition table on first read, and ``labels`` decodes the bit-set of
+    every state on first read, so a caller that only wants the size pays for
+    neither.
     """
 
-    __slots__ = ("dfa", "_labels", "_decode")
+    __slots__ = ("state_count", "_dfa", "_build", "_labels", "_decode")
 
     def __init__(self, dfa: Dfa, labels: Iterable[Label]):
-        self.dfa = dfa
+        self.state_count = dfa.state_count
+        self._dfa: Dfa | None = dfa
+        self._build: Callable[[], Dfa] | None = None
         self._labels: tuple[Label, ...] | None = tuple(labels)
         self._decode: Callable[[], Iterable[Label]] | None = None
         if len(self._labels) != dfa.state_count:
             raise ValueError("need exactly one label per state")
 
     @classmethod
-    def _deferred(cls, dfa: Dfa, decode: Callable[[], Iterable[Label]]) -> SubsetDfa:
-        """A machine whose labels ``decode`` yields, one per state, when
-        they are first read."""
+    def _deferred(
+        cls,
+        state_count: int,
+        build: Callable[[], Dfa],
+        decode: Callable[[], Iterable[Label]],
+    ) -> SubsetDfa:
+        """A machine of ``state_count`` states whose table ``build`` returns
+        and whose labels ``decode`` yields, one per state, each when first
+        read."""
         sub = cls.__new__(cls)
-        sub.dfa, sub._labels, sub._decode = dfa, None, decode
+        sub.state_count = state_count
+        sub._dfa, sub._build = None, build
+        sub._labels, sub._decode = None, decode
         return sub
+
+    @property
+    def dfa(self) -> Dfa:
+        if self._dfa is None:
+            self._dfa, self._build = self._build(), None
+        return self._dfa
 
     @property
     def labels(self) -> tuple[Label, ...]:
@@ -142,24 +160,39 @@ def _subset_walk(
     """The subset construction behind ``determinize`` and the star and
     reversal components: reachable subsets from the bit-set ``start``, where
     ``columns[a][q]`` is the bit-set of successors of ``q`` on ``a``, final
-    iff they meet ``final_mask``.  Labels decode to the subsets as
-    frozensets when first read."""
+    iff they meet ``final_mask``.
+
+    The walk numbers the subsets in discovery order and records the target
+    of every (subset, letter) in one flat list, so its size is known when it
+    returns.  The transition table is cut from that list when ``dfa`` is
+    first read, and the labels decode to the subsets as frozensets when
+    first read.
+    """
     index = {start: 0}
     order = [start]
-    rows = []
+    targets = []
     for subset in order:
-        row = []
         for column in columns:
-            image = _image(subset, column)
+            image = 0
+            mask = subset
+            while mask:
+                low = mask & -mask
+                image |= column[low.bit_length() - 1]
+                mask ^= low
             t = index.get(image)
             if t is None:
                 t = index[image] = len(order)
                 order.append(image)
-            row.append(t)
-        rows.append(tuple(row))
-    finals = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
-    dfa = Dfa._trusted(alphabet, len(order), 0, finals, tuple(rows))
-    return SubsetDfa._deferred(dfa, lambda: map(_mask_to_frozenset, order))
+            targets.append(t)
+
+    def build() -> Dfa:
+        rows = tuple(zip(*[iter(targets)] * len(columns)))
+        finals = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
+        return Dfa._trusted(alphabet, len(order), 0, finals, rows)
+
+    return SubsetDfa._deferred(
+        len(order), build, lambda: map(_mask_to_frozenset, order)
+    )
 
 
 def determinize(nf: Nfa) -> SubsetDfa:
@@ -202,7 +235,9 @@ def _star(d: Dfa) -> SubsetDfa:
     for column in columns:
         column.append(column[d.start])
     walk = _subset_walk(d.alphabet, columns, 1 << m, _mask(d.finals) | 1 << m)
-    return SubsetDfa._deferred(walk.dfa, lambda: (NEW_START, *walk.labels[1:]))
+    return SubsetDfa._deferred(
+        walk.state_count, lambda: walk.dfa, lambda: (NEW_START, *walk.labels[1:])
+    )
 
 
 def star_explicit(d: Dfa) -> SubsetDfa:
@@ -250,7 +285,9 @@ def star_explicit(d: Dfa) -> SubsetDfa:
     )
     dfa = Dfa._trusted(d.alphabet, 1 + len(members), 0, finals, tuple(rows))
     return SubsetDfa._deferred(
-        dfa, lambda: (NEW_START, *map(_mask_to_frozenset, members))
+        dfa.state_count,
+        lambda: dfa,
+        lambda: (NEW_START, *map(_mask_to_frozenset, members)),
     )
 
 
@@ -331,5 +368,7 @@ def combined(dM: Dfa, dN: Dfa, op: CombinedOp) -> SubsetDfa:
     first = first_component(dM, op)
     prod = product(first.dfa, dN, op.boolean_mode)
     return SubsetDfa._deferred(
-        prod.dfa, lambda: ((first.labels[i], j) for i, j in prod.labels)
+        prod.state_count,
+        lambda: prod.dfa,
+        lambda: ((first.labels[i], j) for i, j in prod.labels),
     )

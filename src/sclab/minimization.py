@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Dfa, Word, reachable, require_same_alphabet
+from .core import Dfa, Word, _is_int, reachable, require_same_alphabet
 from .constructions import CombinedOp, combined, pair_rows
 
 
@@ -176,6 +176,8 @@ def distinguishing_word(d: Dfa, p: int, q: int) -> Word | None:
     """Shortest word accepted from exactly one of ``p`` and ``q``, breaking
     length ties toward smaller symbol indices; ``None`` iff none exists."""
     m = d.state_count
+    if not (_is_int(p) and _is_int(q)):
+        raise ValueError(f"state indices must be integers, got ({p!r}, {q!r})")
     if not 0 <= p < m or not 0 <= q < m:
         raise ValueError(f"state index out of range for {m} states: ({p}, {q})")
     dp, dq = (Dfa._trusted(d.alphabet, m, s, d.finals, d.delta) for s in (p, q))

@@ -56,6 +56,13 @@ class BudgetExceeded(ValueError):
         self.budget = budget
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that is not an integer; splitmix64 keeps the low 64
+    bits of any integer."""
+    if not _is_int(seed):
+        raise ValueError(f"need an integer seed, got {seed!r}")
+
+
 class SplitMix64:
     """splitmix64: the state advances by 0x9E3779B97F4A7C15 per draw and the
     output is a bit-mixed copy of the state (xor-shifts by 30, 27, 31 with
@@ -64,6 +71,7 @@ class SplitMix64:
     recurrence."""
 
     def __init__(self, seed: int):
+        _check_seed(seed)
         self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
@@ -130,6 +138,8 @@ def bounded_language_equal(d1: Dfa, d2: Dfa, maxlen: int) -> bool:
     """True iff the machines agree on every word of length at most
     ``maxlen``; breadth-first walk of the pair graph, no words
     materialised."""
+    if not _is_int(maxlen) or maxlen < 0:
+        raise ValueError(f"need a length bound >= 0, got {maxlen!r}")
     require_same_alphabet(d1, d2)
     sigma = d1.sigma
     f1, f2 = d1.finals, d2.finals
@@ -190,6 +200,8 @@ def reverse_membership_oracle(d: Dfa, word: Sequence[int]) -> bool:
 def dfa_space_size(states: int, alphabet: Alphabet) -> int:
     """Number of complete DFAs on ``states`` states with the start fixed at
     0: every transition table crossed with every final set."""
+    if not _is_int(states) or states < 1:
+        raise ValueError(f"need at least one state, got {states!r}")
     sigma = len(alphabet)
     return states ** (states * sigma) * 2**states
 
@@ -203,12 +215,10 @@ def enumerate_dfas(
     start at 0.  Returns the number of machines emitted; refuses up front,
     reporting the computed count, when it exceeds ``DEFAULT_MACHINE_BUDGET``.
     """
-    if not _is_int(states) or states < 1:
-        raise ValueError(f"need at least one state, got {states!r}")
-    sigma = len(alphabet)
     total = dfa_space_size(states, alphabet)
     if total > DEFAULT_MACHINE_BUDGET:
         raise BudgetExceeded(total, DEFAULT_MACHINE_BUDGET)
+    sigma = len(alphabet)
     final_sets = [
         frozenset(q for q in range(states) if mask >> q & 1)
         for mask in range(1 << states)
@@ -230,17 +240,21 @@ def random_dfa(states: int, alphabet: Alphabet, seed: int) -> Dfa:
     finality draw is ``next_uint64() & 1``."""
     if not _is_int(states) or states < 1:
         raise ValueError(f"need at least one state, got {states!r}")
+    _check_seed(seed)
     sigma = len(alphabet)
+    finals = _random_finals(states, sigma, seed)
+    return Dfa._trusted(alphabet, states, 0, finals, _random_rows(states, sigma, seed))
+
+
+def _random_rows(states: int, sigma: int, seed: int) -> tuple[tuple[int, ...], ...]:
+    """The transitions ``random_dfa`` draws on ``sigma`` letters, row by
+    row: the stream's first ``states * sigma`` draws."""
     z = seed & _MASK64
     targets = []
     for _ in range(states * sigma):
         z = (z + _GAMMA) & _MASK64
         targets.append(_mix(z) % states)
-    rows = tuple(
-        tuple(targets[q * sigma : (q + 1) * sigma]) for q in range(states)
-    )
-    finals = _random_finals(states, sigma, seed)
-    return Dfa._trusted(alphabet, states, 0, finals, rows)
+    return tuple(zip(*[iter(targets)] * sigma))
 
 
 def _random_finals(states: int, sigma: int, seed: int) -> frozenset[int]:
@@ -467,18 +481,18 @@ def search_max(
             n_seed = rng.next_uint64()
             # The pair machine has at most |first| * n states, and |first| is
             # at most the cap of M's finals, which are read before M is
-            # built.  A pair whose bound cannot pass the running maximum is
-            # built no further.  Both seeds are drawn either way, so the
-            # sample stream and the achieving pair do not depend on this
-            # pruning.
+            # built, and is known from the walk before its table is.  A pair
+            # whose bound cannot pass the running maximum is built no
+            # further.  Both seeds are drawn either way, so the sample stream
+            # and the achieving pair do not depend on this pruning.
             finals = _random_finals(m, sigma, m_seed)
             if first_component_cap(op, m, 0, finals) * n <= best:
                 continue
-            dM = random_dfa(m, alphabet, m_seed)
-            first = first_component(dM, op).dfa
-            if first.state_count * n > best:
+            dM = Dfa._trusted(alphabet, m, 0, finals, _random_rows(m, sigma, m_seed))
+            walk = first_component(dM, op)
+            if walk.state_count * n > best:
                 dN = random_dfa(n, alphabet, n_seed)
-                size = _measured_size(first, dN, boolean, best)
+                size = _measured_size(walk.dfa, dN, boolean, best)
                 measured += 1
                 if size > best:
                     best = size

@@ -6,6 +6,7 @@ from sclab import (
     AlphabetMismatch,
     CombinedOp,
     Dfa,
+    Nfa,
     StarPrecondition,
     SubsetDfa,
     combined,
@@ -408,3 +409,74 @@ def test_star_walk_labels_are_the_simulated_subsets():
         for state, word in enumerate(shortest_words(sub.dfa)):
             if state:
                 assert sub.labels[state] == star_reached(d, word), (d, word)
+
+
+def reference_determinize(nf):
+    """The subset construction over frozensets: subsets numbered in
+    breadth-first discovery order from the start set, one row per subset
+    with the letters in order, final iff the subset meets the finals."""
+    start = frozenset(nf.starts)
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for subset in order:
+        row = []
+        for a in range(nf.sigma):
+            image = frozenset(t for q in subset for t in nf.delta[q][a])
+            if image not in index:
+                index[image] = len(order)
+                order.append(image)
+            row.append(index[image])
+        rows.append(tuple(row))
+    finals = frozenset(i for i, subset in enumerate(order) if subset & nf.finals)
+    return Dfa(nf.alphabet, len(order), 0, finals, tuple(rows))
+
+
+def star_nfa(d):
+    """The machine the star walk determinizes: a fresh start ``m`` that
+    steps like ``d.start``, and every move into a final state also restarts
+    at ``d.start``; final are the fresh start and ``d``'s finals."""
+    m = d.state_count
+
+    def step(q, a):
+        t = d.delta[q][a]
+        return frozenset({t, d.start} if t in d.finals else {t})
+
+    delta = tuple(
+        tuple(step(q, a) for a in range(d.sigma)) for q in (*range(m), d.start)
+    )
+    return Nfa(d.alphabet, m + 1, frozenset({m}), d.finals | {m}, delta)
+
+
+def test_state_count_agrees_with_the_table():
+    machines = []
+    for m in (1, 2, 3):
+        enumerate_dfas(m, AB, machines.append)
+    abc = Alphabet(("a", "b", "c"))
+    for seed in range(200):
+        m = 1 + seed % 6
+        d = random_dfa(m, abc, seed)
+        machines.append(Dfa(abc, m, seed // 6 % m, d.finals, d.delta))
+    for d, dN in zip(machines, machines[1:] + machines[:1]):
+        reversal = reference_determinize(reverse_to_nfa(d))
+        star = reference_determinize(star_nfa(d))
+        expected = [
+            (determinize(reverse_to_nfa(d)), reversal),
+            (first_component(d, CombinedOp.REVERSAL_UNION), reversal),
+            (first_component(d, CombinedOp.STAR_UNION), star),
+        ]
+        if d.alphabet == dN.alphabet:
+            for op in CombinedOp:
+                first = star if op.uses_star else reversal
+                prod = product(first, dN, op.boolean_mode)
+                expected.append((combined(d, dN, op), prod.dfa))
+                expected.append((prod, prod.dfa))
+        for sub, table in expected:
+            assert sub.state_count == table.state_count, d
+            assert sub.dfa == table, d
+            assert sub.state_count == sub.dfa.state_count, d
+        m, k = d.state_count, len(d.finals - {d.start})
+        if k:
+            sub = star_explicit(d)
+            assert sub.state_count == sub.dfa.state_count, d
+            assert sub.state_count == 2 ** (m - 1) + 2 ** (m - k - 1), d

@@ -17,6 +17,7 @@ from sclab import (
     complete_dfa,
     dfa_accepts,
     dfa_space_size,
+    distinguishing_word,
     enumerate_dfas,
     equivalent,
     first_component,
@@ -32,7 +33,7 @@ from sclab import (
     table_filling_minimize,
 )
 from sclab import oracle
-from sclab.oracle import _measured_size, _random_finals
+from sclab.oracle import _measured_size, _random_finals, _random_rows
 from sclab.witnesses import (
     STAR_ALPHABET,
     reversal_witness_m,
@@ -161,6 +162,7 @@ def test_random_dfa_is_the_documented_stream():
                 expected = reference_random_dfa(m, alphabet, seed)
                 assert random_dfa(m, alphabet, seed) == expected, (m, sigma, seed)
                 assert _random_finals(m, sigma, seed) == expected.finals
+                assert _random_rows(m, sigma, seed) == expected.delta
 
 
 @pytest.mark.parametrize(
@@ -182,6 +184,58 @@ def test_random_builders_reject_a_bad_count(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+TWO = mkdfa(AB, [(1, 0), (1, 1)], {1})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: distinguishing_word(TWO, 0.5, 1),
+            "state indices must be integers, got (0.5, 1)",
+        ),
+        (
+            lambda: distinguishing_word(TWO, True, 1),
+            "state indices must be integers, got (True, 1)",
+        ),
+        (
+            lambda: distinguishing_word(TWO, 0, "1"),
+            "state indices must be integers, got (0, '1')",
+        ),
+        (
+            lambda: bounded_language_equal(TWO, TWO, -3),
+            "need a length bound >= 0, got -3",
+        ),
+        (
+            lambda: bounded_language_equal(TWO, TWO, 1.5),
+            "need a length bound >= 0, got 1.5",
+        ),
+        (
+            lambda: bounded_language_equal(TWO, TWO, True),
+            "need a length bound >= 0, got True",
+        ),
+        (lambda: dfa_space_size(2.5, AB), "need at least one state, got 2.5"),
+        (lambda: dfa_space_size(0, AB), "need at least one state, got 0"),
+        (lambda: random_dfa(3, AB, 1.5), "need an integer seed, got 1.5"),
+        (lambda: random_dfa(3, AB, True), "need an integer seed, got True"),
+        (lambda: random_dfa(3, AB, "7"), "need an integer seed, got '7'"),
+        (lambda: SplitMix64(1.5), "need an integer seed, got 1.5"),
+        (lambda: SplitMix64(None), "need an integer seed, got None"),
+    ],
+)
+def test_integer_arguments_are_checked_where_they_enter(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_integer_arguments_in_range_still_work():
+    assert distinguishing_word(TWO, 0, 1) == ()
+    assert bounded_language_equal(TWO, TWO, 0)
+    assert dfa_space_size(1, AB) == 2
+    assert random_dfa(3, AB, -1) == random_dfa(3, AB, (1 << 64) - 1)
 
 
 def assert_rebuilds(d):
@@ -620,3 +674,29 @@ def test_measured_size_is_exact_above_best_and_bounded_below(op):
                         assert size == exact, (dM, dN, best)
                     else:
                         assert size <= best, (dM, dN, best)
+
+
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_sampled_search_tables_only_the_pairs_it_measures(monkeypatch, op):
+    walks = []
+
+    def keep(d, op):
+        walk = first_component(d, op)
+        walks.append(walk)
+        return walk
+
+    monkeypatch.setattr(oracle, "first_component", keep)
+    report = search_max(op, 4, 3, STAR_ALPHABET, SearchMode.sampled(2000, 11))
+    tabled = sum(walk._dfa is not None for walk in walks)
+    assert tabled == report.pairs_measured
+    assert len(walks) > tabled
+
+
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_reading_the_state_count_builds_neither_table_nor_labels(op):
+    for seed in range(20):
+        walk = first_component(random_dfa(4, STAR_ALPHABET, seed), op)
+        assert walk.state_count >= 1
+        assert walk._dfa is None and walk._labels is None
+        assert walk.dfa.state_count == walk.state_count
+        assert walk._labels is None
