@@ -84,11 +84,12 @@ class Dfa:
     """Complete deterministic automaton.
 
     ``delta[state][symbol]`` is the target state; state numbers carry no
-    meaning beyond identity.  Construction checks that the finals are a set
-    and the table is rows, that the state count, start, finals and targets
-    are integers, that there is a state, that the start, finals and targets
-    are states and that each state has one transition per symbol, and raises
-    ``InvalidDfa`` on the first failure.
+    meaning beyond identity.  Construction checks that the alphabet is an
+    ``Alphabet``, the finals are a set and the table is rows, that the state
+    count, start, finals and targets are integers, that there is a state,
+    that the start, finals and targets are states and that each state has
+    one transition per symbol, and raises ``InvalidDfa`` on the first
+    failure.
     """
 
     alphabet: Alphabet
@@ -114,6 +115,8 @@ class Dfa:
             raise InvalidDfa(problem)
 
     def _first_problem(self) -> str | None:
+        if not isinstance(self.alphabet, Alphabet):
+            return f"alphabet must be an Alphabet, got {reprlib.repr(self.alphabet)}"
         m = self.state_count
         if not _is_int(m):
             return f"state count must be an integer, got {m!r}"
@@ -216,6 +219,8 @@ class Nfa:
             raise ValueError(problem)
 
     def _first_problem(self) -> str | None:
+        if not isinstance(self.alphabet, Alphabet):
+            return f"alphabet must be an Alphabet, got {reprlib.repr(self.alphabet)}"
         m = self.state_count
         if not _is_int(m):
             return f"state count must be an integer, got {m!r}"

@@ -197,11 +197,19 @@ def reverse_membership_oracle(d: Dfa, word: Sequence[int]) -> bool:
     return dfa_accepts(d, tuple(reversed(word)))
 
 
+def _check_alphabet(alphabet: Alphabet) -> None:
+    """Refuse an alphabet that is not an ``Alphabet``, such as a tuple of
+    names, which would otherwise end up inside the machines built."""
+    if not isinstance(alphabet, Alphabet):
+        raise ValueError(f"need an Alphabet, got {alphabet!r}")
+
+
 def dfa_space_size(states: int, alphabet: Alphabet) -> int:
     """Number of complete DFAs on ``states`` states with the start fixed at
     0: every transition table crossed with every final set."""
     if not _is_int(states) or states < 1:
         raise ValueError(f"need at least one state, got {states!r}")
+    _check_alphabet(alphabet)
     sigma = len(alphabet)
     return states ** (states * sigma) * 2**states
 
@@ -240,6 +248,7 @@ def random_dfa(states: int, alphabet: Alphabet, seed: int) -> Dfa:
     finality draw is ``next_uint64() & 1``."""
     if not _is_int(states) or states < 1:
         raise ValueError(f"need at least one state, got {states!r}")
+    _check_alphabet(alphabet)
     _check_seed(seed)
     sigma = len(alphabet)
     finals = _random_finals(states, sigma, seed)
@@ -351,10 +360,53 @@ def _classes(
     """
     first: dict[Dfa, Dfa] = {}
     count = enumerate_dfas(states, alphabet, lambda d: first.setdefault(key(d), d))
+    keys = list(first)
+    return count, keys, list(first.values()), _size_groups(keys)
+
+
+def _size_groups(keys: list[Dfa]) -> dict[int, list[int]]:
+    """The classes of each key size, in ascending class order."""
     sized: dict[int, list[int]] = {}
-    for c, k in enumerate(first):
+    for c, k in enumerate(keys):
         sized.setdefault(k.state_count, []).append(c)
-    return count, list(first), list(first.values()), sized
+    return sized
+
+
+def _op_classes(
+    lang_keys: list[Dfa], lang_first: list[Dfa], op: CombinedOp
+) -> tuple[
+    list[Dfa],
+    list[Dfa],
+    dict[int, list[int]],
+    Callable[[list[list[int]]], list[list[int]]],
+]:
+    """Class machines by the minimal DFA of ``op``'s first component, given
+    their language classes from ``_classes(..., minimize)``.
+
+    ``op(L(M))`` depends only on ``L(M)``, so each language class is keyed
+    once, through its own key, and the op classes are numbered by the first
+    language class to reach them.  That class holds the key's earliest
+    machine, so the keys, first machines and size groups are those of
+    ``_classes`` keyed per machine, without a second enumeration.  Also
+    returns a function taking the language classes' letter swaps to the op
+    classes': renaming letters commutes with star and reversal, so an op
+    class moves where its first language class moves.
+    """
+    number: dict[Dfa, int] = {}
+    op_class: list[int] = []
+    rep: list[int] = []
+    for c, key in enumerate(lang_keys):
+        k = number.setdefault(minimize(first_component(key, op).dfa), len(number))
+        if k == len(rep):
+            rep.append(c)
+        op_class.append(k)
+    keys = list(number)
+    return (
+        keys,
+        [lang_first[c] for c in rep],
+        _size_groups(keys),
+        lambda lang_swaps: [[op_class[ls[c]] for c in rep] for ls in lang_swaps],
+    )
 
 
 def _letter_swaps(distinct: list[Dfa]) -> list[list[int]]:
@@ -400,17 +452,26 @@ def search_max(
     Exhaustive mode covers every pair of complete machines with starts
     fixed at 0; sampled mode draws ``mode.samples`` seeded random pairs.
     ``pair_budget`` bounds the pair machines a search could build: one per
-    pair of language classes in exhaustive mode, one per sample in sampled
-    mode.  Exhaustive mode checks it once both sides are enumerated (each
-    refused over ``DEFAULT_MACHINE_BUDGET`` machines) and classed.  Over a
-    budget, ``BudgetExceeded`` is raised.  Sampled mode measures a pair
-    only if a bound on its size, from M's finals and then from M's first
-    component, can pass the running maximum.  Deterministic for fixed
-    arguments; ties go to the earliest pair, and the winner is re-measured
-    through the public pipeline before reporting.
+    pair of classes in exhaustive mode, one per sample in sampled mode.
+    Exhaustive mode enumerates each side size once (each refused over
+    ``DEFAULT_MACHINE_BUDGET`` machines), classes it by language, classes
+    M's language classes by ``op``, and checks the budget before it builds
+    any letter-swap map.  Over a budget, ``BudgetExceeded`` is raised.
+    Sampled mode measures a pair only if a bound on its size, from M's
+    finals and then from M's first component, can pass the running maximum.
+    Deterministic for fixed arguments; ties go to the earliest pair, and the
+    winner is re-measured through the public pipeline before reporting.
+    Arguments of the wrong type or range raise ``ValueError``.
     """
+    if not isinstance(op, CombinedOp):
+        raise ValueError(f"need a CombinedOp, got {op!r}")
     if not (_is_int(m) and _is_int(n)) or m < 2 or n < 2:
         raise ValueError(f"need m, n >= 2, got m={m}, n={n}")
+    _check_alphabet(alphabet)
+    if not isinstance(mode, SearchMode):
+        raise ValueError(f"need a SearchMode, got {mode!r}")
+    if not _is_int(pair_budget) or pair_budget < 1:
+        raise ValueError(f"need a positive pair budget, got {pair_budget!r}")
     boolean = op.boolean_mode
     predicted = tight_bound(op, m, n)
     best = -1
@@ -418,17 +479,22 @@ def search_max(
     examined = 0
     measured = 0
     if mode.kind == "exhaustive":
-        m_count, m_keys, m_first, m_sized = _classes(
-            m, alphabet, lambda d: minimize(first_component(d, op).dfa)
-        )
-        n_count, n_keys, n_first, n_sized = _classes(n, alphabet, minimize)
+        n_side = _classes(n, alphabet, minimize)
+        n_count, n_keys, n_first, n_sized = n_side
+        m_side = n_side if m == n else _classes(m, alphabet, minimize)
+        m_count, m_lang, m_lang_first, _ = m_side
+        m_keys, m_first, m_sized, op_swaps = _op_classes(m_lang, m_lang_first, op)
         cells = len(m_keys) * len(n_keys)
         if cells > pair_budget:
             raise BudgetExceeded(cells, pair_budget, "class pairs")
-        swaps = list(zip(_letter_swaps(m_keys), _letter_swaps(n_keys)))
+        n_swaps = _letter_swaps(n_keys)
+        m_swaps = op_swaps(n_swaps if m == n else _letter_swaps(m_lang))
+        swaps = list(zip(m_swaps, n_swaps))
         # The measured size depends only on the languages op(L(M)) and L(N),
-        # so M is classed by the minimal DFA of its first component, N by its
-        # own, and cell cm * width + cn holds the pairs in classes (cm, cn).
+        # so N is classed by its minimal DFA and M by the minimal DFA of its
+        # first component, which is found once per language class of M; at
+        # m = n both sides share one enumeration.  Cell cm * width + cn holds
+        # the pairs in classes (cm, cn).
         # Renaming letters commutes with star, reversal and the products, so
         # an orbit of cells under the letter swaps has one size.  A pair
         # machine of two keys has at most |key M| * |key N| states, so cells

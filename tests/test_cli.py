@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -339,6 +342,20 @@ def test_readme_command_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(src) + (os.pathsep + path if path else "")}
+    argv = [sys.executable, "-m", "sclab", "sc", "star-union", "--m", "3", "--n", "2"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("op=star-union m=3 n=2 k=1 measured=11 predicted=11")
+    bad = subprocess.run(
+        argv[:4] + ["--m", "1"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert bad.returncode == 2
 
 
 def test_sweep_determinism_modulo_timing(capsys):

@@ -10,6 +10,7 @@ from sclab import (
     DEFAULT_MACHINE_BUDGET,
     CombinedOp,
     Dfa,
+    InvalidDfa,
     SearchMode,
     SplitMix64,
     bounded_language_equal,
@@ -228,6 +229,87 @@ TWO = mkdfa(AB, [(1, 0), (1, 1)], {1})
 def test_integer_arguments_are_checked_where_they_enter(call, message):
     with pytest.raises(ValueError) as err:
         call()
+    assert str(err.value) == message
+
+
+def _search(op=CombinedOp.STAR_UNION, alphabet=AB, mode=None, **kw):
+    return search_max(op, 2, 2, alphabet, mode or SearchMode.exhaustive(), **kw)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: _search(pair_budget=-1),
+            ValueError,
+            "need a positive pair budget, got -1",
+        ),
+        (
+            lambda: _search(pair_budget=0),
+            ValueError,
+            "need a positive pair budget, got 0",
+        ),
+        (
+            lambda: _search(pair_budget=True),
+            ValueError,
+            "need a positive pair budget, got True",
+        ),
+        (
+            lambda: _search(pair_budget=1.5e9),
+            ValueError,
+            "need a positive pair budget, got 1500000000.0",
+        ),
+        (
+            lambda: _search(pair_budget="9"),
+            ValueError,
+            "need a positive pair budget, got '9'",
+        ),
+        (
+            lambda: _search(pair_budget=None),
+            ValueError,
+            "need a positive pair budget, got None",
+        ),
+        (
+            lambda: _search(op="star-union"),
+            ValueError,
+            "need a CombinedOp, got 'star-union'",
+        ),
+        (
+            lambda: _search(mode="exhaustive"),
+            ValueError,
+            "need a SearchMode, got 'exhaustive'",
+        ),
+        (
+            lambda: _search(alphabet=("a", "b")),
+            ValueError,
+            "need an Alphabet, got ('a', 'b')",
+        ),
+        (
+            lambda: _search(alphabet=("a", "b"), mode=SearchMode.sampled(5, 1)),
+            ValueError,
+            "need an Alphabet, got ('a', 'b')",
+        ),
+        (
+            lambda: Dfa(("a",), 1, 0, set(), ((0,),)),
+            InvalidDfa,
+            "alphabet must be an Alphabet, got ('a',)",
+        ),
+        (
+            lambda: random_dfa(2, ("a",), 1),
+            ValueError,
+            "need an Alphabet, got ('a',)",
+        ),
+        (
+            lambda: enumerate_dfas(2, ("a",), lambda d: None),
+            ValueError,
+            "need an Alphabet, got ('a',)",
+        ),
+    ],
+)
+def test_search_entry_points_raise_one_typed_error(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error
     assert str(err.value) == message
 
 
@@ -571,10 +653,9 @@ def test_each_orbit_is_measured_at_its_earliest_pair(monkeypatch, op):
             assert at <= moved, (km, kn, perm)
 
 
-def test_exhaustive_search_keeps_only_the_first_machine_of_each_class(monkeypatch):
-    # once the class table is walked, the only enumerated machines alive
-    # are the first machines of the language classes, not the whole space
-    op = CombinedOp.STAR_UNION
+def _alive_at_first_kernel_call(monkeypatch, op, m, n, alphabet):
+    """The search's report, every machine it was fed, and the fed machines
+    still alive when the kernel is first called."""
     fed = []
 
     def tracking(states, alphabet, consumer):
@@ -589,18 +670,73 @@ def test_exhaustive_search_keeps_only_the_first_machine_of_each_class(monkeypatc
     def counting(d1, dN, mode, best=-1):
         if not alive:
             gc.collect()
-            alive.append(sum(ref() is not None for ref in fed))
+            alive.append([ref() for ref in fed if ref() is not None])
         return _measured_size(d1, dN, mode, best)
 
     monkeypatch.setattr(oracle, "enumerate_dfas", tracking)
     monkeypatch.setattr(oracle, "_measured_size", counting)
-    report = search_max(op, 2, 2, AB, SearchMode.exhaustive())
-    machines = []
-    enumerate_dfas(2, AB, machines.append)
-    m_classes = {minimize(first_component(d, op).dfa) for d in machines}
-    n_classes = {minimize(d) for d in machines}
-    assert len(fed) == 64 + 64 and report.machines_examined == 64 * 64
-    assert alive == [len(m_classes) + len(n_classes)]
+    report = search_max(op, m, n, alphabet, SearchMode.exhaustive())
+    return report, fed, alive[0]
+
+
+def _language_firsts(states, alphabet):
+    """The first machine of each language class, in class order."""
+    first = {}
+    enumerate_dfas(states, alphabet, lambda d: first.setdefault(minimize(d), d))
+    return list(first.values())
+
+
+def test_exhaustive_search_keeps_only_the_first_machine_of_each_class(monkeypatch):
+    # at m = n one enumeration feeds both sides, and once the class table is
+    # walked the only enumerated machines alive are the first machines of
+    # the language classes, not the whole space
+    report, fed, alive = _alive_at_first_kernel_call(
+        monkeypatch, CombinedOp.STAR_UNION, 2, 2, AB
+    )
+    assert len(fed) == 64 and report.machines_examined == 64 * 64
+    assert alive == _language_firsts(2, AB)
+
+
+def test_exhaustive_search_at_m_not_n_keeps_each_sides_language_firsts(monkeypatch):
+    report, fed, alive = _alive_at_first_kernel_call(
+        monkeypatch, CombinedOp.REVERSAL_UNION, 3, 2, AB
+    )
+    assert len(fed) == 5_832 + 64 and report.machines_examined == 5_832 * 64
+    assert len(alive) <= len(_language_firsts(3, AB)) + len(_language_firsts(2, AB))
+
+
+@pytest.mark.parametrize("op", list(CombinedOp))
+@pytest.mark.parametrize("m, sigma", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_op_classes_match_classing_each_machine_by_op(op, m, sigma):
+    # the M sides of the searches at (2,2,σ=1-3), (3,2,2), (2,3,2) and
+    # (3,3,2): classing language classes by op equals classing every
+    # machine by the minimal DFA of its first component
+    alphabet = Alphabet(("a", "b", "c")[:sigma])
+    count, keys, first, sized = oracle._classes(
+        m, alphabet, lambda d: minimize(first_component(d, op).dfa)
+    )
+    lang_count, lang_keys, lang_first, _ = oracle._classes(m, alphabet, minimize)
+    op_keys, op_first, op_sized, op_swaps = oracle._op_classes(lang_keys, lang_first, op)
+    assert lang_count == count
+    assert op_keys == keys
+    assert op_first == first
+    assert op_sized == sized
+    assert op_swaps(oracle._letter_swaps(lang_keys)) == oracle._letter_swaps(keys)
+
+
+def test_exhaustive_budget_is_checked_before_any_swap_map(monkeypatch):
+    def refused(keys):
+        raise AssertionError("built a swap map")
+
+    monkeypatch.setattr(oracle, "_letter_swaps", refused)
+    alphabet = Alphabet(("a", "b", "c"))
+    mode = SearchMode.exhaustive()
+    with pytest.raises(BudgetExceeded, match="class pairs") as err:
+        search_max(CombinedOp.STAR_UNION, 2, 2, alphabet, mode, pair_budget=7_865)
+    assert err.value.needed == 7_866
+    # one more cell of budget reaches the swap maps
+    with pytest.raises(AssertionError, match="built a swap map"):
+        search_max(CombinedOp.STAR_UNION, 2, 2, alphabet, mode, pair_budget=7_866)
 
 
 @pytest.mark.parametrize("op", list(CombinedOp))
