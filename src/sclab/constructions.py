@@ -1,9 +1,8 @@
 """Machines for star and reversal, pair machines for union and intersection,
 and the four pipelines combining them.
 
-Subset-valued states carry labels describing what they denote: a frozenset
-of source-machine states, the ``NEW_START`` marker for the injected start of
-the star machine, or a ``(first, j)`` pair after a product.
+Each construction returns its state count and a transition table built on
+first read.
 """
 
 from __future__ import annotations
@@ -12,18 +11,6 @@ from enum import Enum
 from typing import Callable, Iterable, Literal
 
 from .core import Alphabet, Dfa, Nfa, require_same_alphabet
-
-
-class _NewStart:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "NEW_START"
-
-
-NEW_START = _NewStart()
-
-Label = object
 
 BooleanMode = Literal["union", "intersection"]
 
@@ -51,66 +38,30 @@ class CombinedOp(Enum):
         return "intersection"
 
 
+def _check_op(op: object) -> None:
+    """Refuse anything but a ``CombinedOp``, such as its command name,
+    which would otherwise be read as some other op or fail deep inside."""
+    if not isinstance(op, CombinedOp):
+        raise ValueError(f"need a CombinedOp, got {op!r}")
+
+
 class SubsetDfa:
-    """A DFA plus one label per state recording what the state denotes.
+    """A constructed machine: ``state_count`` is known as soon as the
+    machine is, and ``dfa`` calls ``build`` for the transition table on first
+    read, so a caller that only wants the size never pays for the table."""
 
-    ``state_count`` is known as soon as the machine is.  The subset
-    constructions record the walk rather than its table: ``dfa`` builds the
-    transition table on first read, and ``labels`` decodes the bit-set of
-    every state on first read, so a caller that only wants the size pays for
-    neither.
-    """
+    __slots__ = ("state_count", "_dfa", "_build")
 
-    __slots__ = ("state_count", "_dfa", "_build", "_labels", "_decode")
-
-    def __init__(self, dfa: Dfa, labels: Iterable[Label]):
-        self.state_count = dfa.state_count
-        self._dfa: Dfa | None = dfa
-        self._build: Callable[[], Dfa] | None = None
-        self._labels: tuple[Label, ...] | None = tuple(labels)
-        self._decode: Callable[[], Iterable[Label]] | None = None
-        if len(self._labels) != dfa.state_count:
-            raise ValueError("need exactly one label per state")
-
-    @classmethod
-    def _deferred(
-        cls,
-        state_count: int,
-        build: Callable[[], Dfa],
-        decode: Callable[[], Iterable[Label]],
-    ) -> SubsetDfa:
-        """A machine of ``state_count`` states whose table ``build`` returns
-        and whose labels ``decode`` yields, one per state, each when first
-        read."""
-        sub = cls.__new__(cls)
-        sub.state_count = state_count
-        sub._dfa, sub._build = None, build
-        sub._labels, sub._decode = None, decode
-        return sub
+    def __init__(self, state_count: int, build: Callable[[], Dfa]):
+        self.state_count = state_count
+        self._dfa: Dfa | None = None
+        self._build: Callable[[], Dfa] | None = build
 
     @property
     def dfa(self) -> Dfa:
         if self._dfa is None:
             self._dfa, self._build = self._build(), None
         return self._dfa
-
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        if self._labels is None:
-            self._labels = tuple(self._decode())
-            self._decode = None
-        return self._labels
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SubsetDfa):
-            return NotImplemented
-        return self.dfa == other.dfa and self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return hash((self.dfa, self.labels))
-
-    def __repr__(self) -> str:
-        return f"SubsetDfa(dfa={self.dfa!r}, labels={self.labels!r})"
 
 
 def _mask(states: Iterable[int]) -> int:
@@ -119,10 +70,6 @@ def _mask(states: Iterable[int]) -> int:
     for q in states:
         bits |= 1 << q
     return bits
-
-
-def _mask_to_frozenset(mask: int) -> frozenset[int]:
-    return frozenset(q for q in range(mask.bit_length()) if mask >> q & 1)
 
 
 def _image(mask: int, column: list[int]) -> int:
@@ -165,7 +112,6 @@ def _subset_walk(
     The walk numbers the subsets in discovery order and records the target
     of every (subset, letter) in one flat list, so its size is known when it
     returns.  The transition table is cut from that list when ``dfa`` is
-    first read, and the labels decode to the subsets as frozensets when
     first read.
     """
     index = {start: 0}
@@ -190,9 +136,7 @@ def _subset_walk(
         finals = frozenset(i for i, subset in enumerate(order) if subset & final_mask)
         return Dfa._trusted(alphabet, len(order), 0, finals, rows)
 
-    return SubsetDfa._deferred(
-        len(order), build, lambda: map(_mask_to_frozenset, order)
-    )
+    return SubsetDfa(len(order), build)
 
 
 def determinize(nf: Nfa) -> SubsetDfa:
@@ -200,9 +144,8 @@ def determinize(nf: Nfa) -> SubsetDfa:
 
     The result is complete: an empty transition image leads to the empty
     subset, which is a non-final sink.  A subset state is final iff it meets
-    ``nf.finals``.  Labels record the subsets, and states are numbered in
-    breadth-first discovery order, so the output is already in canonical
-    form.
+    ``nf.finals``.  States are numbered in breadth-first discovery order, so
+    the output is already in canonical form.
     """
     columns = [[_mask(row[a]) for row in nf.delta] for a in range(nf.sigma)]
     return _subset_walk(nf.alphabet, columns, _mask(nf.starts), _mask(nf.finals))
@@ -225,8 +168,7 @@ def _star(d: Dfa) -> SubsetDfa:
     ``m`` that steps like ``d.start``.  Every token moves on each symbol, and
     a token landing on a final state adds a restart at ``d.start``; a subset
     is final iff it meets the finals, and the fresh start accepts the empty
-    word.  Works for any machine.  The fresh start is labelled
-    ``NEW_START``, every other state its subset as a frozenset."""
+    word.  Works for any machine."""
     m, start_bit = d.state_count, 1 << d.start
     columns = [
         [1 << t | start_bit if t in d.finals else 1 << t for t in column]
@@ -234,10 +176,7 @@ def _star(d: Dfa) -> SubsetDfa:
     ]
     for column in columns:
         column.append(column[d.start])
-    walk = _subset_walk(d.alphabet, columns, 1 << m, _mask(d.finals) | 1 << m)
-    return SubsetDfa._deferred(
-        walk.state_count, lambda: walk.dfa, lambda: (NEW_START, *walk.labels[1:])
-    )
+    return _subset_walk(d.alphabet, columns, 1 << m, _mask(d.finals) | 1 << m)
 
 
 def star_explicit(d: Dfa) -> SubsetDfa:
@@ -250,6 +189,8 @@ def star_explicit(d: Dfa) -> SubsetDfa:
     the image meets F0, modelling a restart after a completed factor; the
     injected start behaves like the singleton {start} under this rule.
     Finals are the injected start and every subset meeting ``d.finals``.
+    The injected start is state 0, then the subsets follow in increasing
+    bit-set order.
 
     The result accepts the star of ``d``'s language and has exactly
     ``2**(m-1) + 2**(m-k-1)`` states, counting unreachable ones.
@@ -284,11 +225,7 @@ def star_explicit(d: Dfa) -> SubsetDfa:
         index[mask] for mask in members if mask & final_mask
     )
     dfa = Dfa._trusted(d.alphabet, 1 + len(members), 0, finals, tuple(rows))
-    return SubsetDfa._deferred(
-        dfa.state_count,
-        lambda: dfa,
-        lambda: (NEW_START, *map(_mask_to_frozenset, members)),
-    )
+    return SubsetDfa(dfa.state_count, lambda: dfa)
 
 
 def pair_rows(
@@ -325,21 +262,21 @@ def pair_finals(
 
 
 def product(d1: Dfa, d2: Dfa, mode: BooleanMode) -> SubsetDfa:
-    """Reachable pair machine with componentwise transitions, finals from
-    ``pair_finals``, and the ``(i, j)`` pairs as labels in breadth-first
-    discovery order."""
+    """Reachable pair machine with componentwise transitions and finals from
+    ``pair_finals``, its pairs numbered in ``pair_rows`` order."""
     require_same_alphabet(d1, d2)
     if mode not in ("union", "intersection"):
         raise ValueError(f"unknown mode: {mode!r}")
     pairs, rows = pair_rows(d1, d2)
     finals = frozenset(t for t, f in enumerate(pair_finals(pairs, d1, d2, mode)) if f)
     dfa = Dfa._trusted(d1.alphabet, len(pairs), 0, finals, tuple(rows))
-    return SubsetDfa(dfa, tuple(pairs))
+    return SubsetDfa(dfa.state_count, lambda: dfa)
 
 
 def first_component(d: Dfa, op: CombinedOp) -> SubsetDfa:
     """The star or reversal half of a combined pipeline: the reachable
     subset walk of the star machine or of the reversed machine."""
+    _check_op(op)
     return _star(d) if op.uses_star else _reversal(d)
 
 
@@ -361,14 +298,8 @@ def combined(dM: Dfa, dN: Dfa, op: CombinedOp) -> SubsetDfa:
     """Full pipeline: star or reversal of ``dM``, then union or intersection
     with ``dN``.
 
-    The result is reachable but not minimised; labels pair the first
-    component's label with the second machine's state index.
+    The result is the reachable product of the first component with ``dN``,
+    not minimised.
     """
     require_same_alphabet(dM, dN)
-    first = first_component(dM, op)
-    prod = product(first.dfa, dN, op.boolean_mode)
-    return SubsetDfa._deferred(
-        prod.state_count,
-        lambda: prod.dfa,
-        lambda: ((first.labels[i], j) for i, j in prod.labels),
-    )
+    return product(first_component(dM, op).dfa, dN, op.boolean_mode)

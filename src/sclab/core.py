@@ -289,11 +289,12 @@ def complete_dfa(
 
 
 def _check_word(sigma: int, word: Sequence[int]) -> None:
-    """Raise ``ValueError`` on the first symbol index outside the alphabet."""
+    """Raise ``ValueError`` on the first symbol that is not an integer
+    index into the alphabet; a ``bool`` does not count as one."""
     for s in word:
-        if not 0 <= s < sigma:
+        if not (_is_int(s) and 0 <= s < sigma):
             raise ValueError(
-                f"symbol index {s} out of range for alphabet of size {sigma}"
+                f"symbol {s!r} is not an index into an alphabet of size {sigma}"
             )
 
 

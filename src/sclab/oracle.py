@@ -22,6 +22,7 @@ from .core import (
 from .constructions import (
     BooleanMode,
     CombinedOp,
+    _check_op,
     first_component,
     first_component_cap,
     pair_finals,
@@ -90,7 +91,7 @@ def table_filling_minimize(d: Dfa) -> Dfa:
 
     Trims to the reachable states, marks every pair with differing
     finality, propagates marks backwards over the transition relation to a
-    fixed point, merges the unmarked pairs, and relabels canonically.  The
+    fixed point, merges the unmarked pairs, and renumbers canonically.  The
     output is structurally equal to ``minimize``'s on every machine.
     """
     sigma = d.sigma
@@ -463,8 +464,7 @@ def search_max(
     winner is re-measured through the public pipeline before reporting.
     Arguments of the wrong type or range raise ``ValueError``.
     """
-    if not isinstance(op, CombinedOp):
-        raise ValueError(f"need a CombinedOp, got {op!r}")
+    _check_op(op)
     if not (_is_int(m) and _is_int(n)) or m < 2 or n < 2:
         raise ValueError(f"need m, n >= 2, got m={m}, n={n}")
     _check_alphabet(alphabet)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .core import Alphabet, Dfa, _is_int
-from .constructions import CombinedOp
+from .constructions import CombinedOp, _check_op
 
 STAR_ALPHABET = Alphabet(("a", "b", "c"))
 REVERSAL_ALPHABET = Alphabet(("a", "b", "c", "d"))
@@ -91,6 +91,7 @@ def reversal_witness_n(n: int) -> Dfa:
 
 def witness_pair(op: CombinedOp, m: int, n: int) -> tuple[Dfa, Dfa]:
     """The worst-case machine pair for ``op`` at sizes (m, n)."""
+    _check_op(op)
     if op is CombinedOp.STAR_UNION:
         return star_witness_m(m), star_witness_n(n)
     if op is CombinedOp.STAR_INTERSECTION:
@@ -119,6 +120,8 @@ def bound_value(
     rest.  ``k``, the number of finals other than the start, is used only by
     the k-aware star kind and must lie in ``1..m-1``.
     """
+    if not isinstance(kind, BoundKind):
+        raise ValueError(f"need a BoundKind, got {kind!r}")
     if not _is_int(m) or m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     if kind is BoundKind.INDIVIDUAL_STAR:
@@ -146,6 +149,7 @@ def bound_value(
 
 def tight_bound(op: CombinedOp, m: int, n: int) -> int:
     """The closed form ``op``'s witness pair attains at sizes (m, n)."""
+    _check_op(op)
     kind = (
         BoundKind.STAR_COMBINED_TIGHT
         if op.uses_star
@@ -164,6 +168,7 @@ def pipeline_bound(op: CombinedOp, m: int, n: int, k: int) -> int:
     ``m * n`` holds; reversal ops use ``2**m * n - n + 1`` for any
     ``m >= 1``.
     """
+    _check_op(op)
     if not _is_int(n) or n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if op.uses_star:

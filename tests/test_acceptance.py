@@ -12,7 +12,6 @@ import time
 from sclab import (
     Alphabet,
     CombinedOp,
-    NEW_START,
     SplitMix64,
     bound_value,
     combined,
@@ -44,7 +43,13 @@ from sclab.witnesses import (
     witness_pair,
 )
 
-from conftest import words_upto
+from conftest import (
+    FRESH_START,
+    first_simulation,
+    paired_simulation,
+    simulated,
+    words_upto,
+)
 
 STAR_GRID = [(m, n) for m in range(2, 9) for n in range(2, 9)]
 REVERSAL_GRID = [(m, n) for m in range(2, 11) for n in range(2, 7)]
@@ -62,6 +67,13 @@ def _grid_cells(op: CombinedOp):
             sub = combined(*witness_pair(op, m, n), op)
             _CELLS[key] = (sub, equivalence_partition(sub.dfa))
         yield key, _CELLS[key]
+
+
+def _pair_values(sub, op: CombinedOp, m: int, n: int) -> list:
+    """Per state of the pipeline machine ``sub`` for ``op``'s witness pair:
+    the first component's subset (or ``FRESH_START``) and N's state."""
+    dM, dN = witness_pair(op, m, n)
+    return simulated(sub.dfa, *paired_simulation(first_simulation(dM, op), dN))
 
 
 def _report(capsys, number: int, name: str, ok: bool, elapsed: float, detail: str = ""):
@@ -251,7 +263,7 @@ def test_10_merging_and_unreachability_structure(capsys):
         full = frozenset(range(m))
         blocks = {
             part.block_of[i]
-            for i, (first, j) in enumerate(sub.labels)
+            for i, (first, j) in enumerate(_pair_values(sub, _op, m, n))
             if first == full
         }
         if len(blocks) != 1:
@@ -260,7 +272,7 @@ def test_10_merging_and_unreachability_structure(capsys):
         empty = frozenset()
         blocks = {
             part.block_of[i]
-            for i, (first, j) in enumerate(sub.labels)
+            for i, (first, j) in enumerate(_pair_values(sub, _op, m, n))
             if first == empty
         }
         if len(blocks) != 1:
@@ -269,8 +281,8 @@ def test_10_merging_and_unreachability_structure(capsys):
         for (op, m, n), (sub, part) in _grid_cells(star_op):
             strays = [
                 (first, j)
-                for first, j in sub.labels
-                if first is NEW_START and j != 0
+                for first, j in _pair_values(sub, op, m, n)
+                if first == FRESH_START and j != 0
             ]
             if strays:
                 problems.append((op.value, m, n, strays[:2]))

@@ -1,14 +1,12 @@
 import pytest
 
 from sclab import (
-    NEW_START,
     Alphabet,
     AlphabetMismatch,
     CombinedOp,
     Dfa,
     Nfa,
     StarPrecondition,
-    SubsetDfa,
     combined,
     determinize,
     dfa_accepts,
@@ -32,18 +30,16 @@ from sclab.witnesses import (
     star_witness_n,
 )
 
-from conftest import AB, mkdfa, words_upto
-
-
-def test_new_start_is_a_singleton_marker():
-    assert repr(NEW_START) == "NEW_START"
-    assert NEW_START is first_component(star_witness_m(2), CombinedOp.STAR_UNION).labels[0]
-
-
-def test_subset_dfa_checks_label_count():
-    d = star_witness_n(2)
-    with pytest.raises(ValueError):
-        SubsetDfa(d, (0,))
+from conftest import (
+    AB,
+    FRESH_START,
+    first_simulation,
+    mkdfa,
+    paired_simulation,
+    simulated,
+    star_simulation,
+    words_upto,
+)
 
 
 def test_combined_op_properties():
@@ -86,12 +82,6 @@ def test_reverse_nfa_accepts_reversed_words():
 def test_determinize_reversal_witness_is_full_power_set():
     sub = determinize(reverse_to_nfa(reversal_witness_m(2)))
     assert sub.dfa.state_count == 4
-    assert set(sub.labels) == {
-        frozenset(),
-        frozenset({0}),
-        frozenset({1}),
-        frozenset({0, 1}),
-    }
     sub3 = determinize(reverse_to_nfa(reversal_witness_m(3)))
     assert sub3.dfa.state_count == 8
     assert minimize(sub3.dfa).state_count == 8
@@ -100,23 +90,17 @@ def test_determinize_reversal_witness_is_full_power_set():
 def test_determinize_output_is_canonical_and_complete():
     sub = determinize(reverse_to_nfa(reversal_witness_m(3)))
     assert relabel_canonical(sub.dfa) == sub.dfa
-    assert sub.labels[0] == frozenset({0})
-    # a subset state is final exactly when it contains the old start
-    for i, label in enumerate(sub.labels):
-        assert (i in sub.dfa.finals) == (0 in label)
 
 
 def test_determinize_empty_subset_is_nonfinal_sink():
     d = mkdfa(AB, [(0, 1), (1, 0)], set())
     sub = determinize(reverse_to_nfa(d))
-    assert sub.labels == (frozenset(),)
     assert sub.dfa.finals == frozenset()
     assert sub.dfa.delta == ((0, 0),)
 
 
 def test_star_explicit_smallest_witness_structure():
     sub = star_explicit(star_witness_m(2))
-    assert sub.labels == (NEW_START, frozenset({0}), frozenset({0, 1}))
     assert sub.dfa.start == 0
     assert sub.dfa.finals == frozenset({0, 2})
     # the injected start mirrors the {0} row
@@ -158,7 +142,6 @@ def test_product_union_and_intersection_finals():
     d2 = star_witness_n(3)
     union = product(d1, d2, "union")
     inter = product(d1, d2, "intersection")
-    assert union.labels[0] == (0, 0)
     assert union.dfa.state_count == inter.dfa.state_count == 6
     # c^j lands on the pair (j mod 2, j mod 3)
     for j in range(13):
@@ -179,27 +162,21 @@ def test_product_rejects_bad_inputs():
 
 
 def test_first_component_dispatch():
-    star = first_component(star_witness_m(3), CombinedOp.STAR_UNION)
-    assert star.labels[0] is NEW_START
-
+    assert first_component(star_witness_m(3), CombinedOp.STAR_UNION).state_count == 6
     rev = first_component(reversal_witness_m(3), CombinedOp.REVERSAL_UNION)
-    assert all(isinstance(lbl, frozenset) for lbl in rev.labels)
+    assert rev.state_count == 8
 
     # a machine with no final besides the start takes the same star walk
     start_final = mkdfa(STAR_ALPHABET, [(0, 0, 1), (1, 1, 0)], {0})
     no_finals = mkdfa(STAR_ALPHABET, [(0, 0, 1), (1, 1, 0)], set())
     for d in (start_final, no_finals):
         sub = first_component(d, CombinedOp.STAR_INTERSECTION)
-        assert sub.labels[0] is NEW_START
         for w in words_upto(3, 5):
             assert dfa_accepts(sub.dfa, w) == star_membership_oracle(d, w), (d, w)
 
 
 def test_combined_pairs_labels_and_counts():
     sub = combined(star_witness_m(2), star_witness_n(2), CombinedOp.STAR_UNION)
-    assert sub.labels[0] == (NEW_START, 0)
-    assert all(isinstance(lbl, tuple) and len(lbl) == 2 for lbl in sub.labels)
-    assert len(sub.labels) == sub.dfa.state_count
     # reachable pairs only; this smallest union cell happens to be minimal
     assert sub.dfa.state_count == 5
     assert minimize(sub.dfa).state_count == 5
@@ -243,62 +220,47 @@ def random_machines(sizes, per_size=6):
                 yield Dfa(alphabet, m, seed % m, d.finals, d.delta)
 
 
-def shortest_words(d):
-    """A shortest word leading to each reachable state; None for the rest."""
-    words = [None] * d.state_count
-    words[d.start] = ()
-    queue = [d.start]
-    for q in queue:
-        for a, t in enumerate(d.delta[q]):
-            if words[t] is None:
-                words[t] = words[q] + (a,)
-                queue.append(t)
-    return words
-
-
-def nfa_reached(nf, word):
-    """The states a set simulation of ``nf`` holds after ``word``."""
-    current = set(nf.starts)
-    for s in word:
-        current = {t for q in current for t in nf.delta[q][s]}
-    return frozenset(current)
-
-
-def star_reached(d, word):
-    """The states of ``d`` a star run holds after the non-empty ``word``:
-    every token moves, and a token restarts at the start whenever one
-    reaches a final state."""
-    current = {d.start}
-    for s in word:
-        current = {d.delta[q][s] for q in current}
-        if current & d.finals:
-            current.add(d.start)
-    return frozenset(current)
-
-
-def run_dfa(d, word):
-    q = d.start
-    for s in word:
-        q = d.delta[q][s]
-    return q
-
-
 def test_reversal_first_component_is_the_reference_subset_construction():
     for d in random_machines(range(1, 6)):
         for op in (CombinedOp.REVERSAL_UNION, CombinedOp.REVERSAL_INTERSECTION):
             built = first_component(d, op)
             reference = determinize(reverse_to_nfa(d))
             assert built.dfa == reference.dfa, d
-            assert built.labels == reference.labels, d
-            assert built == reference
+
+
+def assert_one_to_one(sub, values, final):
+    """Distinct reachable states of ``sub`` hold distinct values, and a
+    state is final iff ``final`` holds for its value."""
+    reached = [(q, v) for q, v in enumerate(values) if v is not None]
+    assert len({v for _, v in reached}) == len(reached), sub.dfa
+    for q, v in reached:
+        assert (q in sub.dfa.finals) == final(v), (sub.dfa, q, v)
+
+
+def nfa_simulation(nf):
+    """The subsets a set simulation of ``nf`` holds."""
+
+    def step(subset, a):
+        return frozenset(t for q in subset for t in nf.delta[q][a])
+
+    return frozenset(nf.starts), step
+
+
+def star_final(d):
+    return lambda v: v == FRESH_START or bool(v & d.finals)
+
+
+def first_final(d, op):
+    return star_final(d) if op.uses_star else lambda v: d.start in v
 
 
 def test_determinize_labels_are_the_simulated_subsets():
     for d in random_machines(range(1, 6)):
         nf = reverse_to_nfa(d)
         sub = determinize(nf)
-        for state, word in enumerate(shortest_words(sub.dfa)):
-            assert sub.labels[state] == nfa_reached(nf, word), (d, word)
+        values = simulated(sub.dfa, *nfa_simulation(nf))
+        assert None not in values, d
+        assert_one_to_one(sub, values, lambda v: bool(v & nf.finals))
 
 
 def test_star_explicit_labels_are_the_simulated_subsets():
@@ -306,12 +268,8 @@ def test_star_explicit_labels_are_the_simulated_subsets():
         if not d.finals - {d.start}:
             continue
         sub = star_explicit(d)
-        assert len(sub.labels) == sub.dfa.state_count
-        for state, word in enumerate(shortest_words(sub.dfa)):
-            if word == ():
-                assert sub.labels[state] is NEW_START
-            elif word is not None:
-                assert sub.labels[state] == star_reached(d, word), (d, word)
+        values = simulated(sub.dfa, *star_simulation(d))
+        assert_one_to_one(sub, values, star_final(d))
 
 
 def test_combined_labels_pair_the_states_a_word_reaches():
@@ -320,11 +278,16 @@ def test_combined_labels_pair_the_states_a_word_reaches():
         for dM, dN in zip(machines, machines[1:]):
             if dM.alphabet != dN.alphabet:
                 continue
-            first = first_component(dM, op)
             sub = combined(dM, dN, op)
-            for state, word in enumerate(shortest_words(sub.dfa)):
-                expected = (first.labels[run_dfa(first.dfa, word)], run_dfa(dN, word))
-                assert sub.labels[state] == expected, (dM, dN, word)
+            pairs = paired_simulation(first_simulation(dM, op), dN)
+            values = simulated(sub.dfa, *pairs)
+            assert None not in values, (dM, dN)
+            left = first_final(dM, op)
+            if op.boolean_mode == "union":
+                final = lambda v: left(v[0]) or v[1] in dN.finals
+            else:
+                final = lambda v: left(v[0]) and v[1] in dN.finals
+            assert_one_to_one(sub, values, final)
 
 
 def star_machines():
@@ -404,11 +367,16 @@ def test_first_component_stays_within_its_cap():
 def test_star_walk_labels_are_the_simulated_subsets():
     for d in star_machines():
         sub = first_component(d, CombinedOp.STAR_INTERSECTION)
-        assert sub.labels[0] is NEW_START
-        assert not any(label is NEW_START for label in sub.labels[1:]), d
-        for state, word in enumerate(shortest_words(sub.dfa)):
-            if state:
-                assert sub.labels[state] == star_reached(d, word), (d, word)
+        values = simulated(sub.dfa, *star_simulation(d))
+        assert None not in values, d
+        assert_one_to_one(sub, values, star_final(d))
+
+
+def test_star_explicit_reachable_part_is_the_star_walk():
+    for d in star_machines():
+        if d.finals - {d.start}:
+            walk = first_component(d, CombinedOp.STAR_UNION).dfa
+            assert relabel_canonical(star_explicit(d).dfa) == walk, d
 
 
 def reference_determinize(nf):

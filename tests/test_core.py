@@ -11,6 +11,7 @@ from sclab import (
     nfa_accepts,
     relabel_canonical,
     require_same_alphabet,
+    star_membership_oracle,
 )
 from sclab.witnesses import (
     REVERSAL_ALPHABET,
@@ -274,8 +275,16 @@ def test_dfa_accepts_star_n_cycle():
 
 
 def test_dfa_accepts_checks_symbol_range():
+    d = star_witness_n(2)
+    # a bool or a float would pass for an index, or fail with a TypeError
+    for word in ((7,), (-1,), (0, 3), (True,), (0, False), (0.0,), ("a",), "ab"):
+        with pytest.raises(ValueError):
+            dfa_accepts(d, word)
+    nf = Nfa(AB, 1, {0}, {0}, (((frozenset({0}), frozenset({0})),)))
     with pytest.raises(ValueError):
-        dfa_accepts(star_witness_n(2), (7,))
+        nfa_accepts(nf, (True,))
+    with pytest.raises(ValueError):
+        star_membership_oracle(d, (0.0,))
 
 
 def test_reversal_witness_rejects_single_a():

@@ -31,7 +31,7 @@ from sclab.witnesses import (
     witness_pair,
 )
 
-from conftest import AB, mkdfa
+from conftest import AB, mkdfa, reversal_simulation, simulated
 
 A1 = Alphabet(("a",))
 
@@ -175,13 +175,15 @@ def test_distinguishing_word_on_reversal_subsets_is_short():
     # a drops every subset element by one and refills from the top, so two
     # subset states differing at x can be told apart within m - x letters
     m = 3
-    sub = determinize(reverse_to_nfa(reversal_witness_m(m)))
-    by_label = {label: i for i, label in enumerate(sub.labels)}
-    for label_i, i in by_label.items():
-        for label_j, j in by_label.items():
-            if not (label_i > label_j):
+    d = reversal_witness_m(m)
+    sub = determinize(reverse_to_nfa(d))
+    values = simulated(sub.dfa, *reversal_simulation(d))
+    by_subset = {subset: i for i, subset in enumerate(values)}
+    for subset_i, i in by_subset.items():
+        for subset_j, j in by_subset.items():
+            if not (subset_i > subset_j):
                 continue
-            x = max(label_i - label_j)
+            x = max(subset_i - subset_j)
             word = distinguishing_word(sub.dfa, i, j)
             assert word is not None
             assert len(word) <= m - x

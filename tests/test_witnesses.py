@@ -1,6 +1,14 @@
 import pytest
 
-from sclab import CombinedOp, SearchMode, minimize, search_max
+from sclab import (
+    CombinedOp,
+    SearchMode,
+    combined,
+    first_component,
+    minimize,
+    search_max,
+    state_complexity,
+)
 from sclab.oracle import table_filling_minimize
 from sclab.witnesses import (
     BoundKind,
@@ -245,3 +253,37 @@ def test_tight_bound_picks_the_op_family():
                 assert tight_bound(op, m, n) == bound_value(kind, m, n)
     assert tight_bound(CombinedOp.STAR_INTERSECTION, 4, 3) == 34
     assert tight_bound(CombinedOp.REVERSAL_UNION, 2, 2) == 7
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: witness_pair("star-union", 3, 2), "need a CombinedOp, got 'star-union'"),
+        (lambda: tight_bound("star-union", 3, 2), "need a CombinedOp, got 'star-union'"),
+        (
+            lambda: pipeline_bound("reversal-union", 3, 2, 0),
+            "need a CombinedOp, got 'reversal-union'",
+        ),
+        (
+            lambda: first_component(star_witness_m(3), "star-union"),
+            "need a CombinedOp, got 'star-union'",
+        ),
+        (
+            lambda: combined(star_witness_m(3), star_witness_n(2), "star-union"),
+            "need a CombinedOp, got 'star-union'",
+        ),
+        (
+            lambda: state_complexity(star_witness_m(3), star_witness_n(2), "star-union"),
+            "need a CombinedOp, got 'star-union'",
+        ),
+        (
+            lambda: bound_value("star-combined-tight", 3, 2),
+            "need a BoundKind, got 'star-combined-tight'",
+        ),
+    ],
+)
+def test_op_and_bound_kind_are_checked_where_they_enter(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert type(err.value) is ValueError
+    assert str(err.value) == message
