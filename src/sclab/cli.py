@@ -11,8 +11,8 @@ checks only what the command line alone knows (flags, ranges, files, caps).
 Exit status: 0 on success (bound matched or held), 1 on a mismatch or bound
 violation, 2 when ``main`` catches a ``ValueError`` (the library's domain
 checks, ``InvalidDfa``, ``AlphabetMismatch``, ``ParseError``,
-``StarPrecondition``, ``BudgetExceeded``, ``UsageError``).  Nothing else maps
-an error to 2, so an internal fault propagates with its traceback.
+``BudgetExceeded``, ``UsageError``).  Nothing else maps an error to 2, so
+an internal fault propagates with its traceback.
 Output is deterministic for fixed arguments except for ``elapsed_ms``.
 """
 

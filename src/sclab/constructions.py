@@ -10,7 +10,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Callable, Iterable, Literal
 
-from .core import Alphabet, Dfa, Nfa, require_same_alphabet
+from .core import Alphabet, Dfa, require_same_alphabet
 
 BooleanMode = Literal["union", "intersection"]
 
@@ -83,31 +83,13 @@ def _image(mask: int, column: list[int]) -> int:
     return image
 
 
-def reverse_to_nfa(d: Dfa) -> Nfa:
-    """Reverse every edge and swap the roles of start and finals.
-
-    The result accepts exactly the reversals of the words ``d`` accepts.  A
-    machine with no final states reverses to an NFA with no start states.
-    """
-    sigma = d.sigma
-    cells: list[list[set[int]]] = [
-        [set() for _ in range(sigma)] for _ in range(d.state_count)
-    ]
-    for q in range(d.state_count):
-        row = d.delta[q]
-        for a in range(sigma):
-            cells[row[a]][a].add(q)
-    delta = tuple(tuple(frozenset(cell) for cell in row) for row in cells)
-    return Nfa(d.alphabet, d.state_count, d.finals, frozenset({d.start}), delta)
-
-
 def _subset_walk(
     alphabet: Alphabet, columns: list[list[int]], start: int, final_mask: int
 ) -> SubsetDfa:
-    """The subset construction behind ``determinize`` and the star and
-    reversal components: reachable subsets from the bit-set ``start``, where
-    ``columns[a][q]`` is the bit-set of successors of ``q`` on ``a``, final
-    iff they meet ``final_mask``.
+    """The subset construction behind the star and reversal components:
+    reachable subsets from the bit-set ``start``, where ``columns[a][q]`` is
+    the bit-set of successors of ``q`` on ``a``, final iff they meet
+    ``final_mask``.
 
     The walk numbers the subsets in discovery order and records the target
     of every (subset, letter) in one flat list, so its size is known when it
@@ -139,22 +121,10 @@ def _subset_walk(
     return SubsetDfa(len(order), build)
 
 
-def determinize(nf: Nfa) -> SubsetDfa:
-    """Subset construction from the set of start states.
-
-    The result is complete: an empty transition image leads to the empty
-    subset, which is a non-final sink.  A subset state is final iff it meets
-    ``nf.finals``.  States are numbered in breadth-first discovery order, so
-    the output is already in canonical form.
-    """
-    columns = [[_mask(row[a]) for row in nf.delta] for a in range(nf.sigma)]
-    return _subset_walk(nf.alphabet, columns, _mask(nf.starts), _mask(nf.finals))
-
-
 def _reversal(d: Dfa) -> SubsetDfa:
-    """``determinize(reverse_to_nfa(d))`` built straight from the
-    predecessor bit-sets of ``d``: the walk starts at the finals, and a
-    subset is final iff it holds the start."""
+    """The reachable reversed machine: a subset walk over the predecessor
+    bit-sets of ``d``, from the set of finals; a subset is final iff it
+    holds the start."""
     columns = [[0] * d.state_count for _ in range(d.sigma)]
     for p, row in enumerate(d.delta):
         bit = 1 << p

@@ -1,4 +1,5 @@
-"""Finite automata as immutable values.
+"""Complete DFAs as immutable values, word acceptance and the reachable
+walk.
 
 States are dense 0-based indices and symbols are addressed by their index in
 the alphabet; subset states in the construction modules are bit-sets over
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 Word = tuple[int, ...]
 
@@ -181,143 +182,27 @@ class Dfa:
         return len(self.alphabet.symbols)
 
 
-@dataclass(frozen=True)
-class Nfa:
-    """Nondeterministic automaton with a set of initial states and no
-    epsilon transitions; ``delta[state][symbol]`` is a possibly empty set of
-    targets.  ``starts`` may be empty, in which case nothing is accepted.
-    Construction checks that the starts and finals are sets and the table is
-    rows of sets, that the state count is a positive integer, that the
-    starts, finals and targets are states and that each state has one cell
-    per symbol, and raises ``ValueError`` on the first failure.
-    """
-
-    alphabet: Alphabet
-    state_count: int
-    starts: frozenset[int]
-    finals: frozenset[int]
-    delta: tuple[tuple[frozenset[int], ...], ...]
-
-    def __post_init__(self) -> None:
-        starts = _shaped(
-            frozenset, self.starts, ValueError, "starts must be a set of states"
-        )
-        finals = _shaped(
-            frozenset, self.finals, ValueError, "finals must be a set of states"
-        )
-        delta = _shaped(
-            lambda table: tuple(tuple(map(frozenset, row)) for row in table),
-            self.delta,
-            ValueError,
-            "transition table must be rows of target sets",
-        )
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "finals", finals)
-        object.__setattr__(self, "delta", delta)
-        problem = self._first_problem()
-        if problem is not None:
-            raise ValueError(problem)
-
-    def _first_problem(self) -> str | None:
-        if not isinstance(self.alphabet, Alphabet):
-            return f"alphabet must be an Alphabet, got {reprlib.repr(self.alphabet)}"
-        m = self.state_count
-        if not _is_int(m):
-            return f"state count must be an integer, got {m!r}"
-        if m < 1:
-            return f"state count must be positive, got {m}"
-
-        def stranger(states: frozenset[int]) -> str | None:
-            """The smallest repr among ``states`` that is not a state."""
-            odd = [q for q in states if not _is_int(q) or not 0 <= q < m]
-            return min(map(repr, odd), default=None)
-
-        for what, states in (("start", self.starts), ("final", self.finals)):
-            q = stranger(states)
-            if q is not None:
-                return f"{what} state {q} is not one of the {m} states"
-        if len(self.delta) != m:
-            return f"transition table has {len(self.delta)} rows for {m} states"
-        names = self.alphabet.symbols
-        for q, row in enumerate(self.delta):
-            if len(row) != len(names):
-                return f"state {q} has {len(row)} cells for {len(names)} symbols"
-            for name, cell in zip(names, row):
-                t = stranger(cell)
-                if t is not None:
-                    return (
-                        f"transition from state {q} on symbol {name!r} "
-                        f"targets {t}, not one of the {m} states"
-                    )
-        return None
-
-    @property
-    def sigma(self) -> int:
-        return len(self.alphabet.symbols)
-
-
-def complete_dfa(
-    alphabet: Alphabet,
-    state_count: int,
-    start: int,
-    finals: Iterable[int],
-    rows: Sequence[Sequence[int | None]],
-) -> Dfa:
-    """A complete machine from a partial table.
-
-    ``rows[q][a]`` is the target of state ``q`` on symbol ``a``; a ``None``
-    entry or a short row marks a missing transition.  Every missing
-    transition goes to one fresh non-final sink, added only when some
-    transition is missing, so the accepted language is unchanged.  The
-    present pieces are checked as a ``Dfa`` of ``state_count`` states, each
-    gap held by a self-loop, so they cannot name the sink.
-    """
-    sigma, sink = len(alphabet), state_count
-    table = _shaped(
-        lambda table: [tuple(row) for row in table],
-        rows,
-        InvalidDfa,
-        "transition table must be rows of targets",
-    )
-    padded = [row + (None,) * (sigma - len(row)) for row in table]
-    held = [[q if t is None else t for t in row] for q, row in enumerate(padded)]
-    d = Dfa(alphabet, state_count, start, finals, held)
-    if not any(None in row for row in padded):
-        return d
-    delta = [tuple(sink if t is None else t for t in row) for row in padded]
-    return Dfa._trusted(alphabet, sink + 1, start, d.finals, (*delta, (sink,) * sigma))
-
-
-def _check_word(sigma: int, word: Sequence[int]) -> None:
-    """Raise ``ValueError`` on the first symbol that is not an integer
-    index into the alphabet; a ``bool`` does not count as one."""
+def _check_word(sigma: int, word: Iterable[int]) -> Word:
+    """``word`` as a tuple, read once, so an iterator or a generator runs
+    like the sequence it yields.  Raise ``ValueError`` on the first symbol
+    that is not an integer index into the alphabet; a ``bool`` does not
+    count as one."""
+    word = tuple(word)
     for s in word:
         if not (_is_int(s) and 0 <= s < sigma):
             raise ValueError(
                 f"symbol {s!r} is not an index into an alphabet of size {sigma}"
             )
+    return word
 
 
-def dfa_accepts(d: Dfa, word: Sequence[int]) -> bool:
+def dfa_accepts(d: Dfa, word: Iterable[int]) -> bool:
     """Run ``d`` on the word; true iff the run ends in a final state."""
-    _check_word(d.sigma, word)
     delta = d.delta
     q = d.start
-    for s in word:
+    for s in _check_word(d.sigma, word):
         q = delta[q][s]
     return q in d.finals
-
-
-def nfa_accepts(nf: Nfa, word: Sequence[int]) -> bool:
-    """Forward set simulation; true iff some run ends in a final state."""
-    _check_word(nf.sigma, word)
-    current = set(nf.starts)
-    for s in word:
-        nxt: set[int] = set()
-        for q in current:
-            nxt.update(nf.delta[q][s])
-        current = nxt
-    return not current.isdisjoint(nf.finals)
 
 
 def reachable(d: Dfa) -> tuple[list[int], list[tuple[int, ...]], list[bool]]:
@@ -349,7 +234,7 @@ def relabel_canonical(d: Dfa) -> Dfa:
     return Dfa._trusted(d.alphabet, len(order), 0, flagged, tuple(rows))
 
 
-def require_same_alphabet(d1: Dfa | Nfa, d2: Dfa | Nfa) -> None:
+def require_same_alphabet(d1: Dfa, d2: Dfa) -> None:
     if d1.alphabet != d2.alphabet:
         raise AlphabetMismatch(
             f"alphabets differ: {d1.alphabet.symbols} vs {d2.alphabet.symbols}"

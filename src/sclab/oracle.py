@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable
 
 from .core import (
     Alphabet,
@@ -167,7 +167,7 @@ def bounded_language_equal(d1: Dfa, d2: Dfa, maxlen: int) -> bool:
     return True
 
 
-def star_membership_oracle(d: Dfa, word: Sequence[int]) -> bool:
+def star_membership_oracle(d: Dfa, word: Iterable[int]) -> bool:
     """Star membership by definition: true iff the word is empty or splits
     into non-empty factors each accepted by ``d``.
 
@@ -175,7 +175,7 @@ def star_membership_oracle(d: Dfa, word: Sequence[int]) -> bool:
     construction: a position is a boundary if some earlier boundary reaches
     it through one accepted factor.
     """
-    _check_word(d.sigma, word)
+    word = _check_word(d.sigma, word)
     length = len(word)
     boundary = [False] * (length + 1)
     boundary[0] = True
@@ -192,10 +192,10 @@ def star_membership_oracle(d: Dfa, word: Sequence[int]) -> bool:
     return boundary[length]
 
 
-def reverse_membership_oracle(d: Dfa, word: Sequence[int]) -> bool:
+def reverse_membership_oracle(d: Dfa, word: Iterable[int]) -> bool:
     """Membership in the reversal of ``d``'s language: run ``d`` on the
     reversed word."""
-    return dfa_accepts(d, tuple(reversed(word)))
+    return dfa_accepts(d, _check_word(d.sigma, word)[::-1])
 
 
 def _check_alphabet(alphabet: Alphabet) -> None:

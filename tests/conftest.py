@@ -91,3 +91,26 @@ def paired_simulation(simulation, dN: Dfa):
         return step(first, a), dN.delta[j][a]
 
     return (start, dN.start), paired_step
+
+
+def reference_walk(alphabet: Alphabet, simulation, final) -> Dfa:
+    """The machine a simulation runs, built over its own values: they are
+    numbered in breadth-first discovery order from the start, one row per
+    value with the letters in order, and a value is final iff ``final``
+    holds for it.  No bit-sets and no library walk are involved, so this is
+    a reference for the subset walks."""
+    start, step = simulation
+    index = {start: 0}
+    order = [start]
+    rows = []
+    for value in order:
+        row = []
+        for a in range(len(alphabet)):
+            image = step(value, a)
+            if image not in index:
+                index[image] = len(order)
+                order.append(image)
+            row.append(index[image])
+        rows.append(tuple(row))
+    finals = frozenset(i for i, value in enumerate(order) if final(value))
+    return Dfa(alphabet, len(order), 0, finals, tuple(rows))

@@ -16,14 +16,13 @@ from sclab import (
     bound_value,
     combined,
     dfa_accepts,
-    determinize,
     enumerate_dfas,
     equivalence_partition,
+    first_component,
     minimize,
     pipeline_bound,
     random_dfa,
     reverse_membership_oracle,
-    reverse_to_nfa,
     search_max,
     star_explicit,
     star_membership_oracle,
@@ -141,7 +140,8 @@ def test_05_individual_operation_anchors(capsys):
         if got != 3 * 2 ** (m - 2):
             bad.append(("star", m, got))
     for m in range(2, 11):
-        got = minimize(determinize(reverse_to_nfa(reversal_witness_m(m))).dfa).state_count
+        reversed_m = first_component(reversal_witness_m(m), CombinedOp.REVERSAL_UNION)
+        got = minimize(reversed_m.dfa).state_count
         if got != 2**m:
             bad.append(("reversal", m, got))
     elapsed = time.perf_counter() - t0

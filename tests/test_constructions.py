@@ -5,23 +5,24 @@ from sclab import (
     AlphabetMismatch,
     CombinedOp,
     Dfa,
-    Nfa,
     StarPrecondition,
     combined,
-    determinize,
     dfa_accepts,
     enumerate_dfas,
     first_component,
     minimize,
-    nfa_accepts,
     product,
     relabel_canonical,
-    reverse_to_nfa,
     star_explicit,
     equivalent,
 )
 from sclab.constructions import first_component_cap
-from sclab.oracle import random_dfa, reverse_membership_oracle, star_membership_oracle
+from sclab.oracle import (
+    random_dfa,
+    reverse_membership_oracle,
+    star_membership_oracle,
+    table_filling_minimize,
+)
 from sclab.witnesses import (
     REVERSAL_ALPHABET,
     STAR_ALPHABET,
@@ -36,6 +37,8 @@ from conftest import (
     first_simulation,
     mkdfa,
     paired_simulation,
+    reference_walk,
+    reversal_simulation,
     simulated,
     star_simulation,
     words_upto,
@@ -51,50 +54,30 @@ def test_combined_op_properties():
     assert CombinedOp("star-union") is CombinedOp.STAR_UNION
 
 
-def test_reverse_to_nfa_transposes_the_witness():
-    d = reversal_witness_m(2)
-    nf = reverse_to_nfa(d)
-    assert nf.starts == frozenset({0})
-    assert nf.finals == frozenset({0})
-    # a sends 0->1 and 1->0 in the witness, so the transpose keeps both
-    assert nf.delta[0][0] == frozenset({1})
-    assert nf.delta[1][0] == frozenset({0})
-    # b sends both states to 1, so reversed b fans 1 out to {0, 1}
-    assert nf.delta[1][1] == frozenset({0, 1})
-    assert nf.delta[0][1] == frozenset()
-
-
-def test_reverse_to_nfa_of_finalless_machine_has_no_starts():
-    d = mkdfa(AB, [(0, 1), (1, 0)], set())
-    nf = reverse_to_nfa(d)
-    assert nf.starts == frozenset()
-    assert not nfa_accepts(nf, ())
-
-
-def test_reverse_nfa_accepts_reversed_words():
+def test_reversed_machine_accepts_reversed_words():
     for m in (2, 3, 4):
         d = reversal_witness_m(m)
-        nf = reverse_to_nfa(d)
+        sub = first_component(d, CombinedOp.REVERSAL_UNION)
         for w in words_upto(d.sigma, 4):
-            assert nfa_accepts(nf, w) == dfa_accepts(d, tuple(reversed(w)))
+            assert dfa_accepts(sub.dfa, w) == dfa_accepts(d, tuple(reversed(w)))
 
 
 def test_determinize_reversal_witness_is_full_power_set():
-    sub = determinize(reverse_to_nfa(reversal_witness_m(2)))
+    sub = first_component(reversal_witness_m(2), CombinedOp.REVERSAL_UNION)
     assert sub.dfa.state_count == 4
-    sub3 = determinize(reverse_to_nfa(reversal_witness_m(3)))
+    sub3 = first_component(reversal_witness_m(3), CombinedOp.REVERSAL_UNION)
     assert sub3.dfa.state_count == 8
     assert minimize(sub3.dfa).state_count == 8
 
 
 def test_determinize_output_is_canonical_and_complete():
-    sub = determinize(reverse_to_nfa(reversal_witness_m(3)))
+    sub = first_component(reversal_witness_m(3), CombinedOp.REVERSAL_UNION)
     assert relabel_canonical(sub.dfa) == sub.dfa
 
 
 def test_determinize_empty_subset_is_nonfinal_sink():
     d = mkdfa(AB, [(0, 1), (1, 0)], set())
-    sub = determinize(reverse_to_nfa(d))
+    sub = first_component(d, CombinedOp.REVERSAL_UNION)
     assert sub.dfa.finals == frozenset()
     assert sub.dfa.delta == ((0, 0),)
 
@@ -220,12 +203,41 @@ def random_machines(sizes, per_size=6):
                 yield Dfa(alphabet, m, seed % m, d.finals, d.delta)
 
 
+def star_final(d):
+    return lambda v: v == FRESH_START or bool(v & d.finals)
+
+
+def first_final(d, op):
+    return star_final(d) if op.uses_star else lambda v: d.start in v
+
+
+def reference_first(d, op):
+    """``op``'s first component on ``d``, walked over frozensets."""
+    return reference_walk(d.alphabet, first_simulation(d, op), first_final(d, op))
+
+
+@pytest.mark.parametrize(
+    "witness, op, m, states",
+    [(reversal_witness_m, CombinedOp.REVERSAL_UNION, m, 2**m) for m in (2, 3, 4, 5)]
+    + [
+        (star_witness_m, CombinedOp.STAR_UNION, m, 2 ** (m - 1) + 2 ** (m - 2))
+        for m in (2, 3, 4, 5)
+    ],
+    ids=[f"reversal-m{m}" for m in (2, 3, 4, 5)] + [f"star-m{m}" for m in (2, 3, 4, 5)],
+)
+def test_reference_walk_reaches_the_paper_counts(witness, op, m, states):
+    # the reference on its own, with no library walk: the witness's first
+    # component has the paper's count of states, all of them distinct
+    reference = reference_first(witness(m), op)
+    assert reference.state_count == states
+    assert table_filling_minimize(reference).state_count == states
+
+
 def test_reversal_first_component_is_the_reference_subset_construction():
     for d in random_machines(range(1, 6)):
         for op in (CombinedOp.REVERSAL_UNION, CombinedOp.REVERSAL_INTERSECTION):
             built = first_component(d, op)
-            reference = determinize(reverse_to_nfa(d))
-            assert built.dfa == reference.dfa, d
+            assert built.dfa == reference_first(d, op), d
 
 
 def assert_one_to_one(sub, values, final):
@@ -237,30 +249,13 @@ def assert_one_to_one(sub, values, final):
         assert (q in sub.dfa.finals) == final(v), (sub.dfa, q, v)
 
 
-def nfa_simulation(nf):
-    """The subsets a set simulation of ``nf`` holds."""
-
-    def step(subset, a):
-        return frozenset(t for q in subset for t in nf.delta[q][a])
-
-    return frozenset(nf.starts), step
-
-
-def star_final(d):
-    return lambda v: v == FRESH_START or bool(v & d.finals)
-
-
-def first_final(d, op):
-    return star_final(d) if op.uses_star else lambda v: d.start in v
-
-
 def test_determinize_labels_are_the_simulated_subsets():
+    op = CombinedOp.REVERSAL_INTERSECTION
     for d in random_machines(range(1, 6)):
-        nf = reverse_to_nfa(d)
-        sub = determinize(nf)
-        values = simulated(sub.dfa, *nfa_simulation(nf))
+        sub = first_component(d, op)
+        values = simulated(sub.dfa, *reversal_simulation(d))
         assert None not in values, d
-        assert_one_to_one(sub, values, lambda v: bool(v & nf.finals))
+        assert_one_to_one(sub, values, first_final(d, op))
 
 
 def test_star_explicit_labels_are_the_simulated_subsets():
@@ -379,43 +374,6 @@ def test_star_explicit_reachable_part_is_the_star_walk():
             assert relabel_canonical(star_explicit(d).dfa) == walk, d
 
 
-def reference_determinize(nf):
-    """The subset construction over frozensets: subsets numbered in
-    breadth-first discovery order from the start set, one row per subset
-    with the letters in order, final iff the subset meets the finals."""
-    start = frozenset(nf.starts)
-    index = {start: 0}
-    order = [start]
-    rows = []
-    for subset in order:
-        row = []
-        for a in range(nf.sigma):
-            image = frozenset(t for q in subset for t in nf.delta[q][a])
-            if image not in index:
-                index[image] = len(order)
-                order.append(image)
-            row.append(index[image])
-        rows.append(tuple(row))
-    finals = frozenset(i for i, subset in enumerate(order) if subset & nf.finals)
-    return Dfa(nf.alphabet, len(order), 0, finals, tuple(rows))
-
-
-def star_nfa(d):
-    """The machine the star walk determinizes: a fresh start ``m`` that
-    steps like ``d.start``, and every move into a final state also restarts
-    at ``d.start``; final are the fresh start and ``d``'s finals."""
-    m = d.state_count
-
-    def step(q, a):
-        t = d.delta[q][a]
-        return frozenset({t, d.start} if t in d.finals else {t})
-
-    delta = tuple(
-        tuple(step(q, a) for a in range(d.sigma)) for q in (*range(m), d.start)
-    )
-    return Nfa(d.alphabet, m + 1, frozenset({m}), d.finals | {m}, delta)
-
-
 def test_state_count_agrees_with_the_table():
     machines = []
     for m in (1, 2, 3):
@@ -426,10 +384,9 @@ def test_state_count_agrees_with_the_table():
         d = random_dfa(m, abc, seed)
         machines.append(Dfa(abc, m, seed // 6 % m, d.finals, d.delta))
     for d, dN in zip(machines, machines[1:] + machines[:1]):
-        reversal = reference_determinize(reverse_to_nfa(d))
-        star = reference_determinize(star_nfa(d))
+        reversal = reference_first(d, CombinedOp.REVERSAL_UNION)
+        star = reference_first(d, CombinedOp.STAR_UNION)
         expected = [
-            (determinize(reverse_to_nfa(d)), reversal),
             (first_component(d, CombinedOp.REVERSAL_UNION), reversal),
             (first_component(d, CombinedOp.STAR_UNION), star),
         ]

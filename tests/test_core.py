@@ -5,12 +5,10 @@ from sclab import (
     AlphabetMismatch,
     Dfa,
     InvalidDfa,
-    Nfa,
-    complete_dfa,
     dfa_accepts,
-    nfa_accepts,
     relabel_canonical,
     require_same_alphabet,
+    reverse_membership_oracle,
     star_membership_oracle,
 )
 from sclab.witnesses import (
@@ -20,7 +18,7 @@ from sclab.witnesses import (
     star_witness_n,
 )
 
-from conftest import AB, mkdfa, rebuilt
+from conftest import AB, mkdfa, rebuilt, words_upto
 
 
 def test_alphabet_index_and_word():
@@ -54,63 +52,6 @@ def test_dfa_normalises_fields():
     assert isinstance(d.finals, frozenset)
     assert d.delta == ((1, 0), (0, 1))
     assert d.sigma == 2
-
-
-def test_nfa_normalises_fields_and_allows_empty_starts():
-    nf = Nfa(AB, 2, set(), {0}, [[{1}, set()], [set(), {0}]])
-    assert nf.starts == frozenset()
-    assert nf.delta[0][0] == frozenset({1})
-    assert not nfa_accepts(nf, ())
-    assert not nfa_accepts(nf, (0, 1))
-
-
-NFA_ROWS = (({1}, {0}), ({0}, {1}))
-
-
-@pytest.mark.parametrize(
-    "fields, message",
-    [
-        ((AB, 2.0, {0}, {1}, NFA_ROWS), "state count must be an integer, got 2.0"),
-        ((AB, 0, set(), set(), ()), "state count must be positive, got 0"),
-        ((AB, 2, {5}, {1}, NFA_ROWS), "start state 5 is not one of the 2 states"),
-        ((AB, 2, {0}, {9}, NFA_ROWS), "final state 9 is not one of the 2 states"),
-        ((AB, 2, {0}, {"1"}, NFA_ROWS), "final state '1' is not one of the 2 states"),
-        ((AB, 2, {False}, {1}, NFA_ROWS), "start state False is not one of the 2 states"),
-        ((AB, 2, {0}, {1}, NFA_ROWS[:1]), "transition table has 1 rows for 2 states"),
-        ((AB, 2, {0}, {1}, (({1},), ({0}, {1}))), "state 0 has 1 cells for 2 symbols"),
-        (
-            (AB, 2, {0}, {1}, (({1}, {0}), ({0}, {7}))),
-            "transition from state 1 on symbol 'b' targets 7, not one of the 2 states",
-        ),
-        (
-            (AB, 2, {0}, {1}, (({None}, {0}), ({0}, {1}))),
-            "transition from state 0 on symbol 'a' targets None, not one of the 2 states",
-        ),
-        ((AB, 2, 0, {1}, NFA_ROWS), "starts must be a set of states, got 0"),
-        (
-            (AB, 2, {0}, {1}, ((1, 0), (0, 1))),
-            "transition table must be rows of target sets, got ((1, 0), (0, 1))",
-        ),
-    ],
-    ids=[
-        "count-type",
-        "count-zero",
-        "start",
-        "final",
-        "final-type",
-        "start-bool",
-        "rows",
-        "short-row",
-        "target",
-        "target-type",
-        "starts-shape",
-        "rows-shape",
-    ],
-)
-def test_nfa_rejects_broken_fields(fields, message):
-    with pytest.raises(ValueError) as err:
-        Nfa(*fields)
-    assert str(err.value) == message
 
 
 def test_validate_accepts_witnesses():
@@ -230,42 +171,6 @@ def test_non_integer_target_is_invalid():
     )
 
 
-def test_complete_returns_complete_machine_unchanged():
-    full = complete_dfa(AB, 2, 0, {1}, [(1, 0), [0, 1]])
-    assert full == Dfa(AB, 2, 0, frozenset({1}), ((1, 0), (0, 1)))
-
-
-def test_complete_adds_single_nonfinal_sink():
-    full = complete_dfa(AB, 2, 0, {1}, ((1, None), (None, 1)))
-    assert rebuilt(full) == full
-    assert full.state_count == 3
-    assert 2 not in full.finals
-    assert full.delta[0] == (1, 2)
-    assert full.delta[1] == (2, 1)
-    assert full.delta[2] == (2, 2)
-    # the sink traps, so old behaviour is preserved on defined paths
-    assert dfa_accepts(full, (0,))
-    assert not dfa_accepts(full, (1,))
-    # a short row is missing its last transitions, and gets the same sink
-    assert complete_dfa(AB, 2, 0, {1}, ((1,), (None, 1))) == full
-
-
-def test_complete_rejects_broken_machines():
-    with pytest.raises(InvalidDfa, match="targets 5"):
-        complete_dfa(AB, 2, 0, (), ((5, 0), (0, 0)))
-    with pytest.raises(InvalidDfa, match="start state 3"):
-        complete_dfa(AB, 2, 3, (), ((0, 0), (0, 0)))
-    with pytest.raises(InvalidDfa, match="start state 2 out of range for 2 states"):
-        complete_dfa(AB, 2, 2, (), ((0, None), (0, 0)))
-    with pytest.raises(InvalidDfa, match="state 0 has 3 transitions for 2 symbols"):
-        complete_dfa(AB, 2, 0, (), ((0, None, 1), (0, 0)))
-    # a present target cannot name the sink that completion would add
-    with pytest.raises(InvalidDfa, match="targets 2, out of range for 2 states"):
-        complete_dfa(AB, 2, 0, (), ((2, None), (0, 0)))
-    with pytest.raises(InvalidDfa, match="must be rows of targets, got"):
-        complete_dfa(AB, 2, 0, (), (1, 0))
-
-
 def test_dfa_accepts_star_n_cycle():
     d = star_witness_n(3)
     # two c steps land on the final state 2; a third wraps back to 0
@@ -280,23 +185,56 @@ def test_dfa_accepts_checks_symbol_range():
     for word in ((7,), (-1,), (0, 3), (True,), (0, False), (0.0,), ("a",), "ab"):
         with pytest.raises(ValueError):
             dfa_accepts(d, word)
-    nf = Nfa(AB, 1, {0}, {0}, (((frozenset({0}), frozenset({0})),)))
-    with pytest.raises(ValueError):
-        nfa_accepts(nf, (True,))
     with pytest.raises(ValueError):
         star_membership_oracle(d, (0.0,))
+
+
+@pytest.mark.parametrize(
+    "word, symbol",
+    [
+        ((3,), 3),
+        ((-1,), -1),
+        ((0, 1, 7), 7),
+        ((True,), True),
+        ((0, False), False),
+        ((0.0,), 0.0),
+        (("a",), "a"),
+        ("ab", "a"),
+    ],
+    ids=[
+        "too-large", "negative", "late", "bool", "late-bool", "float", "name", "string"
+    ],
+)
+def test_every_word_reader_refuses_a_bad_symbol(word, symbol):
+    d = star_witness_n(2)
+    expected = f"symbol {symbol!r} is not an index into an alphabet of size 3"
+    for accepts in (dfa_accepts, star_membership_oracle, reverse_membership_oracle):
+        with pytest.raises(ValueError) as err:
+            accepts(d, word)
+        assert str(err.value) == expected, accepts
+
+
+@pytest.mark.parametrize(
+    "accepts",
+    [dfa_accepts, star_membership_oracle, reverse_membership_oracle],
+    ids=["dfa_accepts", "star_membership_oracle", "reverse_membership_oracle"],
+)
+def test_words_are_read_once_so_iterators_give_the_tuple_answer(accepts):
+    assert accepts(star_witness_n(2), iter((2,)))
+    for d in (star_witness_n(2), reversal_witness_m(3)):
+        for w in words_upto(d.sigma, 3):
+            expected = accepts(d, w)
+            assert accepts(d, iter(w)) == expected, (d, w)
+            assert accepts(d, (s for s in w)) == expected, (d, w)
+        # a string is an iterable of names, not of symbol indices
+        with pytest.raises(ValueError):
+            accepts(d, "ab")
 
 
 def test_reversal_witness_rejects_single_a():
     d = reversal_witness_m(2)
     assert not dfa_accepts(d, d.alphabet.word("a"))
     assert dfa_accepts(d, ())
-
-
-def test_nfa_accepts_checks_symbol_range():
-    nf = Nfa(AB, 1, {0}, {0}, (((frozenset({0}), frozenset({0})),)))
-    with pytest.raises(ValueError):
-        nfa_accepts(nf, (3,))
 
 
 def test_relabel_canonical_renumbers_by_discovery():

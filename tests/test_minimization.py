@@ -8,7 +8,6 @@ from sclab import (
     Dfa,
     bounded_language_equal,
     combined,
-    determinize,
     distinguishing_word,
     equivalence_partition,
     equivalent,
@@ -16,7 +15,6 @@ from sclab import (
     minimize,
     random_dfa,
     relabel_canonical,
-    reverse_to_nfa,
     star_explicit,
     state_complexity,
     table_filling_minimize,
@@ -69,7 +67,7 @@ def test_minimize_is_idempotent_structurally():
     for d in (
         star_witness_m(4),
         combined(star_witness_m(3), star_witness_n(3), CombinedOp.STAR_UNION).dfa,
-        determinize(reverse_to_nfa(reversal_witness_m(4))).dfa,
+        first_component(reversal_witness_m(4), CombinedOp.REVERSAL_UNION).dfa,
     ):
         once = minimize(d)
         assert minimize(once) == once
@@ -176,7 +174,7 @@ def test_distinguishing_word_on_reversal_subsets_is_short():
     # subset states differing at x can be told apart within m - x letters
     m = 3
     d = reversal_witness_m(m)
-    sub = determinize(reverse_to_nfa(d))
+    sub = first_component(d, CombinedOp.REVERSAL_UNION)
     values = simulated(sub.dfa, *reversal_simulation(d))
     by_subset = {subset: i for i, subset in enumerate(values)}
     for subset_i, i in by_subset.items():

@@ -15,7 +15,6 @@ from sclab import (
     SplitMix64,
     bounded_language_equal,
     combined,
-    complete_dfa,
     dfa_accepts,
     dfa_space_size,
     distinguishing_word,
@@ -351,7 +350,6 @@ def test_trusted_builders_match_the_checked_constructor():
         if d1.alphabet == d2.alphabet:
             for mode in ("union", "intersection"):
                 assert_rebuilds(product(d1, d2, mode).dfa)
-    assert_rebuilds(complete_dfa(AB, 2, 0, {1}, ((1, None), (0,))))
 
 
 def test_search_modes():

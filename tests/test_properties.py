@@ -9,7 +9,6 @@ from sclab import (
     Dfa,
     bounded_language_equal,
     combined,
-    determinize,
     dfa_accepts,
     distinguishing_word,
     equivalent,
@@ -19,7 +18,6 @@ from sclab import (
     product,
     relabel_canonical,
     reverse_membership_oracle,
-    reverse_to_nfa,
     star_explicit,
     star_membership_oracle,
     state_complexity,
@@ -140,7 +138,7 @@ def test_star_walk_acceptance_is_star_membership(data):
 @given(st.data())
 def test_determinized_reversal_accepts_reversed_words(data):
     d = data.draw(dfas(max_states=4))
-    sub = determinize(reverse_to_nfa(d))
+    sub = first_component(d, CombinedOp.REVERSAL_UNION)
     w = word_for(d, data.draw, maxlen=6)
     assert dfa_accepts(sub.dfa, w) == reverse_membership_oracle(d, w)
 
