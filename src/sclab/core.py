@@ -208,7 +208,11 @@ def dfa_accepts(d: Dfa, word: Iterable[int]) -> bool:
 def reachable(d: Dfa) -> tuple[list[int], list[tuple[int, ...]], list[bool]]:
     """Reachable states in breadth-first discovery order from the start,
     exploring symbols in alphabet order, with transition rows renumbered to
-    positions in that order and one finality flag per position."""
+    positions in that order and one finality flag per position.
+
+    A machine already in that order, as every product and subset walk is
+    built, keeps its own rows: each position is its state, so ``delta`` is
+    copied rather than renumbered."""
     index = [-1] * d.state_count
     index[d.start] = 0
     order = [d.start]
@@ -217,7 +221,10 @@ def reachable(d: Dfa) -> tuple[list[int], list[tuple[int, ...]], list[bool]]:
             if index[t] < 0:
                 index[t] = len(order)
                 order.append(t)
-    rows = [tuple([index[t] for t in d.delta[q]]) for q in order]
+    if order == list(range(d.state_count)):
+        rows = list(d.delta)
+    else:
+        rows = [tuple([index[t] for t in d.delta[q]]) for q in order]
     finals = [q in d.finals for q in order]
     return order, rows, finals
 

@@ -20,13 +20,21 @@ class Partition:
 
 
 def _refine(
-    n: int, sigma: int, rows: list[tuple[int, ...]], finals: list[bool]
+    n: int, rows: list[tuple[int, ...]], finals: list[bool]
 ) -> tuple[list[int], int]:
-    """Hopcroft refinement over a flat refinable partition of a trimmed
-    complete DFA.
+    """Hopcroft refinement over a flat refinable partition of a complete
+    DFA; the callers pass trimmed ones, so the blocks are the minimal states.
 
     ``rows[q][a]`` is the target of state ``q`` on symbol ``a``.  Returns a
-    block id per state and the block count; ids are dense, ``0..count-1``.
+    block id per state and the block count; ids are dense, ``0..count-1``,
+    in no meaningful order.
+
+    The predecessors of ``t`` on symbol ``a`` are a linked list in two flat
+    lists per symbol, built in one pass over the column: ``head[t]`` is the
+    first of them and ``nxt[p]`` the one after ``p``, with ``-1`` ending the
+    list.  Each state has one successor per symbol, so it sits on exactly
+    one list per symbol and one ``nxt`` slot serves it; no list is made per
+    state.
 
     ``elems`` holds the states grouped by block, ``loc[q]`` is the position
     of ``q`` in it, and block ``b`` is the segment ``first[b]:end[b]``.
@@ -44,11 +52,14 @@ def _refine(
     nf = sum(finals)
     if nf == 0 or nf == n:
         return [0] * n, 1
-    pre: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(sigma)]
-    for q in range(n):
-        row = rows[q]
-        for a in range(sigma):
-            pre[a][row[a]].append(q)
+    links: list[tuple[list[int], list[int]]] = []
+    for column in zip(*rows):
+        head = [-1] * n
+        nxt = [-1] * n
+        for q, t in enumerate(column):
+            nxt[q] = head[t]
+            head[t] = q
+        links.append((head, nxt))
     elems = [q for q in range(n) if finals[q]] + [q for q in range(n) if not finals[q]]
     loc = [0] * n
     for i, q in enumerate(elems):
@@ -61,25 +72,26 @@ def _refine(
     while worklist:
         b = worklist.pop()
         splitter = elems[first[b] : end[b]]
-        for prea in pre:
+        for head, nxt in links:
             touched = []
             for t in splitter:
-                for p in prea[t]:
+                p = head[t]
+                while p >= 0:
                     y = block_of[p]
                     f = first[y]
-                    if end[y] - f == 1:
-                        continue
-                    k = mark[y]
-                    if k == 0:
-                        touched.append(y)
-                    mark[y] = k + 1
-                    i = f + k
-                    j = loc[p]
-                    q = elems[i]
-                    elems[i] = p
-                    loc[p] = i
-                    elems[j] = q
-                    loc[q] = j
+                    if end[y] - f > 1:
+                        k = mark[y]
+                        if k == 0:
+                            touched.append(y)
+                        mark[y] = k + 1
+                        i = f + k
+                        j = loc[p]
+                        q = elems[i]
+                        elems[i] = p
+                        loc[p] = i
+                        elems[j] = q
+                        loc[q] = j
+                    p = nxt[p]
             for y in touched:
                 k = mark[y]
                 mark[y] = 0
@@ -123,7 +135,7 @@ def _first_appearance(block_of: list[int], count: int) -> tuple[list[int], list[
 def equivalence_partition(d: Dfa) -> Partition:
     """Group the reachable states of ``d`` into language-equivalence blocks."""
     order, rows, finals = reachable(d)
-    block_of, count = _refine(len(order), d.sigma, rows, finals)
+    block_of, count = _refine(len(order), rows, finals)
     number, _ = _first_appearance(block_of, count)
     out: list[int | None] = [None] * d.state_count
     for pos, q in enumerate(order):
@@ -138,7 +150,7 @@ def minimize(d: Dfa) -> Dfa:
     of equivalent states, and is a fixed point of this function.
     """
     order, rows, finals = reachable(d)
-    block_of, count = _refine(len(order), d.sigma, rows, finals)
+    block_of, count = _refine(len(order), rows, finals)
     number, reps = _first_appearance(block_of, count)
     delta = tuple([tuple([number[block_of[t]] for t in rows[r]]) for r in reps])
     qfinals = frozenset(i for i, r in enumerate(reps) if finals[r])
@@ -152,15 +164,23 @@ def _shortest_difference(d1: Dfa, d2: Dfa) -> Word | None:
     The first pair in ``pair_rows`` order whose sides differ in finality is a
     nearest one; each pair is discovered on the first edge into it in row
     order, and following those edges back to the start pair spells the word.
+    One pass over the rows records every pair's first edge, so the word costs
+    no more than the pair machine.
     """
     pairs, rows = pair_rows(d1, d2)
     f1, f2 = d1.finals, d2.finals
     u = next((u for u, (i, j) in enumerate(pairs) if (i in f1) != (j in f2)), None)
     if u is None:
         return None
+    sigma = d1.sigma
+    entry = [-1] * len(pairs)
+    for t, row in enumerate(rows):
+        for a, v in enumerate(row):
+            if entry[v] < 0:
+                entry[v] = t * sigma + a
     word: list[int] = []
     while u:
-        u, a = next((t, a) for t in range(u) for a, v in enumerate(rows[t]) if v == u)
+        u, a = divmod(entry[u], sigma)
         word.append(a)
     return tuple(reversed(word))
 

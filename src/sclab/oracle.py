@@ -344,7 +344,7 @@ def _measured_size(d1: Dfa, dN: Dfa, mode: BooleanMode, best: int = -1) -> int:
     if len(pairs) <= best:
         return len(pairs)
     finals = pair_finals(pairs, d1, dN, mode)
-    _, count = _refine(len(pairs), d1.sigma, rows, finals)
+    _, count = _refine(len(pairs), rows, finals)
     return count
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from sclab import (
@@ -6,11 +8,13 @@ from sclab import (
     Dfa,
     InvalidDfa,
     dfa_accepts,
+    random_dfa,
     relabel_canonical,
     require_same_alphabet,
     reverse_membership_oracle,
     star_membership_oracle,
 )
+from sclab.core import reachable
 from sclab.witnesses import (
     REVERSAL_ALPHABET,
     STAR_ALPHABET,
@@ -251,6 +255,28 @@ def test_relabel_canonical_renumbers_by_discovery():
     assert canon.start == 0
     assert canon.finals == frozenset({1})
     assert canon.delta == ((1, 2), (2, 2), (1, 1))
+
+
+def test_reachable_keeps_the_rows_of_a_canonical_machine():
+    # a canonical machine is already in discovery order, so its own table
+    # comes back as the rows; every renumbering of it canonicalises back to it
+    rng = random.Random(11)
+    for d in (reversal_witness_m(4), star_witness_n(5), random_dfa(12, AB, 3)):
+        canon = relabel_canonical(d)
+        n = canon.state_count
+        order, rows, finals = reachable(canon)
+        assert order == list(range(n))
+        assert rows == list(canon.delta)
+        assert finals == [q in canon.finals for q in range(n)]
+        for _ in range(5):
+            new = list(range(n))
+            rng.shuffle(new)
+            delta: list[tuple[int, ...]] = [()] * n
+            for q, row in enumerate(canon.delta):
+                delta[new[q]] = tuple(new[t] for t in row)
+            finals_set = {new[q] for q in canon.finals}
+            shuffled = mkdfa(canon.alphabet, delta, finals_set, new[canon.start])
+            assert relabel_canonical(shuffled) == canon
 
 
 def test_relabel_canonical_is_idempotent():

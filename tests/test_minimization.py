@@ -1,3 +1,5 @@
+import itertools
+import random
 import time
 
 import pytest
@@ -19,6 +21,7 @@ from sclab import (
     state_complexity,
     table_filling_minimize,
 )
+from sclab.minimization import _refine
 from sclab.witnesses import (
     STAR_ALPHABET,
     reversal_witness_m,
@@ -287,6 +290,53 @@ def test_minimize_matches_table_filling_on_random_machines():
                 assert minimize(d) == table_filling_minimize(d), (sigma, states, seed)
 
 
+def assert_refine_matches_table_filling(d: Dfa) -> None:
+    # _refine over every state, reachable or not, against the table-filling
+    # minimiser's language of each state: blocks and languages must be the
+    # same partition up to renaming, with dense block ids
+    n = d.state_count
+    block_of, count = _refine(n, list(d.delta), [q in d.finals for q in range(n)])
+    languages = [
+        table_filling_minimize(Dfa(d.alphabet, n, q, d.finals, d.delta))
+        for q in range(n)
+    ]
+    assert set(block_of) == set(range(count)), d
+    assert len(set(languages)) == count, d
+    assert len(set(zip(block_of, languages))) == count, d
+
+
+def test_refine_matches_table_filling_on_every_small_binary_machine():
+    for n in (1, 2, 3):
+        for flat in itertools.product(range(n), repeat=2 * n):
+            rows = [flat[2 * q : 2 * q + 2] for q in range(n)]
+            for mask in range(1 << n):
+                finals = {q for q in range(n) if mask >> q & 1}
+                assert_refine_matches_table_filling(mkdfa(AB, rows, finals))
+
+
+def test_refine_matches_table_filling_on_link_stressing_shapes():
+    # a sink that every state enters on a (one predecessor list holding all
+    # n states, every other list on a empty), one-letter cycles, a cycle on
+    # a with a self-loop on b, and one-letter chains
+    rng = random.Random(19)
+    machines = []
+    for n in (2, 5, 17, 40):
+        for sink in (0, n - 1):
+            b_column = [rng.randrange(n) for _ in range(n)]
+            rows = [(sink, b) for b in b_column]
+            odd = {q for q in range(n) if q % 2}
+            for finals in ({sink}, set(range(0, n, 3)), odd):
+                machines.append(mkdfa(AB, rows, finals))
+            machines.append(mkdfa(AB, [(sink, (q + 1) % n) for q in range(n)], {1}))
+        for period in (1, 2, 5):
+            machines.append(cycle(n, set(range(0, n, period))))
+            rows = [((q + 1) % n, q) for q in range(n)]
+            machines.append(mkdfa(AB, rows, set(range(0, n, period))))
+        machines += [chain(n, {max(n - 2, 0)}), chain(n, {n - 1})]
+    for d in machines:
+        assert_refine_matches_table_filling(d)
+
+
 def test_equivalence_partition_ids_are_dense():
     machines = [chain(9, {7}), cycle(12, {0, 4, 8}), star_witness_m(5)]
     machines += [random_dfa(8, AB, seed) for seed in range(20)]
@@ -306,4 +356,19 @@ def test_refinement_is_not_quadratic_on_a_long_chain():
     small = minimize(d)
     elapsed = time.perf_counter() - start
     assert small.state_count == 20_000
+    assert elapsed < 5.0
+
+
+def test_distinguishing_word_is_linear_on_a_long_chain():
+    # states 0 and 1 first differ when 1 reaches the final state 19,998: a
+    # word of 19,997 letters, recovered in one pass over the pair machine; a
+    # rescan of the earlier rows per letter takes about 40 s per call here
+    d = chain(20_000, {19_998})
+    from_one = Dfa(A1, d.state_count, 1, d.finals, d.delta)
+    start = time.perf_counter()
+    word = distinguishing_word(d, 0, 1)
+    same = equivalent(d, from_one)
+    elapsed = time.perf_counter() - start
+    assert word == (0,) * 19_997
+    assert not same
     assert elapsed < 5.0

@@ -1,6 +1,12 @@
 """Property-based invariants over randomly built machines."""
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from sclab import (
@@ -209,3 +215,40 @@ def test_first_component_star_cases_accept_the_star(data):
     sub = first_component(d, CombinedOp.STAR_UNION)
     w = word_for(d, data.draw, maxlen=5)
     assert dfa_accepts(sub.dfa, w) == star_membership_oracle(d, w)
+
+
+def test_a_failing_property_is_reported_under_the_suite_warning_filters(tmp_path):
+    # The suite turns warnings into errors.  Hypothesis's report hook for a
+    # failing test raised a deprecation warning of its own, which pytest
+    # turned into INTERNALERROR, ending the run before the remaining tests.
+    tomllib = pytest.importorskip("tomllib")
+    with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as f:
+        filters = tomllib.load(f)["tool"]["pytest"]["ini_options"]["filterwarnings"]
+    lines = "".join(f"    {rule}\n" for rule in filters)
+    (tmp_path / "pytest.ini").write_text(f"[pytest]\nfilterwarnings =\n{lines}")
+    (tmp_path / "test_one_property.py").write_text(
+        textwrap.dedent(
+            """
+            from hypothesis import given, strategies as st
+
+
+            @given(st.integers())
+            def test_fails(x):
+                assert x < 0
+
+
+            def test_passes():
+                pass
+            """
+        )
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    out = run.stdout + run.stderr
+    assert "INTERNALERROR" not in out, out
+    assert "1 failed, 1 passed" in out, out
