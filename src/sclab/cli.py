@@ -156,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--m", required=True, help="range like 2..8, or one value")
     p_sweep.add_argument("--n", required=True, help="range like 2..6, or one value")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.add_argument(
-        "--max-m", type=int, default=SWEEP_MAX_M, help="override the m cap"
-    )
-    p_sweep.add_argument(
-        "--max-n", type=int, default=SWEEP_MAX_N, help="override the n cap"
-    )
 
     p_search = sub.add_parser(
         "search",
@@ -199,18 +193,16 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_caps(
-    m_range: tuple[int, int], n_range: tuple[int, int], cap_m: int, cap_n: int
-) -> None:
+def _check_caps(m_range: tuple[int, int], n_range: tuple[int, int]) -> None:
     """Refuse witness sizes outside 2..cap before building anything."""
-    for what, (lo, hi), cap in (("m", m_range, cap_m), ("n", n_range, cap_n)):
+    for what, (lo, hi), cap in (("m", m_range, SWEEP_MAX_M), ("n", n_range, SWEEP_MAX_N)):
         if lo < 2 or hi > cap:
             raise UsageError(f"{what} range {lo}..{hi} outside 2..{cap}")
 
 
 def _cmd_sc(args: argparse.Namespace) -> int:
     op = CombinedOp(args.op)
-    _check_caps((args.m, args.m), (args.n, args.n), SWEEP_MAX_M, SWEEP_MAX_N)
+    _check_caps((args.m, args.m), (args.n, args.n))
     record = measure_cell(op, args.m, args.n)
     print(_record_line(record))
     return 0 if record.match else 1
@@ -263,7 +255,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     ops = [CombinedOp(name) for name in args.ops]
     m_range = _parse_range(args.m, "m")
     n_range = _parse_range(args.n, "n")
-    _check_caps(m_range, n_range, args.max_m, args.max_n)
+    _check_caps(m_range, n_range)
     records = [r for op in ops for r in sweep_records(op, m_range, n_range)]
     if args.format == "csv":
         print(CSV_HEADER)

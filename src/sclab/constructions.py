@@ -15,10 +15,6 @@ from .core import Alphabet, Dfa, require_same_alphabet
 BooleanMode = Literal["union", "intersection"]
 
 
-class StarPrecondition(ValueError):
-    """The explicit star machine needs a final state other than the start."""
-
-
 class CombinedOp(Enum):
     """The four measured pipelines; values double as their command names."""
 
@@ -152,27 +148,19 @@ def _star(d: Dfa) -> SubsetDfa:
 def star_explicit(d: Dfa) -> SubsetDfa:
     """Subset-based star machine with an injected start state.
 
-    Writing F0 for the finals other than the start (k = |F0|, required
-    non-empty), the states are: the injected start; every non-empty subset
-    disjoint from F0; and every subset containing the start and meeting F0.
-    A transition takes the elementwise image and re-adds the start whenever
-    the image meets F0, modelling a restart after a completed factor; the
-    injected start behaves like the singleton {start} under this rule.
-    Finals are the injected start and every subset meeting ``d.finals``.
-    The injected start is state 0, then the subsets follow in increasing
-    bit-set order.
+    Writing F0 for the finals other than the start (k = |F0|), the states
+    are: the injected start; every non-empty subset disjoint from F0; and
+    every subset containing the start and meeting F0.  A transition takes
+    the elementwise image and re-adds the start whenever the image meets
+    F0, modelling a restart after a completed factor; the injected start
+    behaves like the singleton {start} under this rule.  Finals are the
+    injected start and every subset meeting ``d.finals``.  The injected
+    start is state 0, then the subsets follow in increasing bit-set order.
 
     The result accepts the star of ``d``'s language and has exactly
     ``2**(m-1) + 2**(m-k-1)`` states, counting unreachable ones.
     """
-    restart_finals = d.finals - {d.start}
-    if not restart_finals:
-        raise StarPrecondition(
-            "the explicit star machine needs a final state other than the "
-            "start; with none, the language is already its own star (start "
-            "final) or the star is just the empty word (no finals)"
-        )
-    f0_mask = _mask(restart_finals)
+    f0_mask = _mask(d.finals - {d.start})
     start_bit = 1 << d.start
 
     index: dict[int, int] = {}

@@ -349,10 +349,10 @@ def _measured_size(d1: Dfa, dN: Dfa, mode: BooleanMode, best: int = -1) -> int:
 
 
 def _classes(
-    states: int, alphabet: Alphabet, key: Callable[[Dfa], Dfa]
+    states: int, alphabet: Alphabet
 ) -> tuple[int, list[Dfa], list[Dfa], dict[int, list[int]]]:
-    """Enumerate the machines on ``states`` states and group them by key as
-    they stream past, numbering the classes by first appearance.
+    """Enumerate the machines on ``states`` states and group them by minimal
+    DFA as they stream past, numbering the classes by first appearance.
 
     Only the first machine of each class is kept.  Returns the number of
     machines enumerated, the distinct keys in class order, the first machine
@@ -360,7 +360,7 @@ def _classes(
     and the classes of each key size in ascending class order.
     """
     first: dict[Dfa, Dfa] = {}
-    count = enumerate_dfas(states, alphabet, lambda d: first.setdefault(key(d), d))
+    count = enumerate_dfas(states, alphabet, lambda d: first.setdefault(minimize(d), d))
     keys = list(first)
     return count, keys, list(first.values()), _size_groups(keys)
 
@@ -382,7 +382,7 @@ def _op_classes(
     Callable[[list[list[int]]], list[list[int]]],
 ]:
     """Class machines by the minimal DFA of ``op``'s first component, given
-    their language classes from ``_classes(..., minimize)``.
+    their language classes from ``_classes``.
 
     ``op(L(M))`` depends only on ``L(M)``, so each language class is keyed
     once, through its own key, and the op classes are numbered by the first
@@ -454,10 +454,10 @@ def search_max(
     fixed at 0; sampled mode draws ``mode.samples`` seeded random pairs.
     ``pair_budget`` bounds the pair machines a search could build: one per
     pair of classes in exhaustive mode, one per sample in sampled mode.
-    Exhaustive mode enumerates each side size once (each refused over
-    ``DEFAULT_MACHINE_BUDGET`` machines), classes it by language, classes
-    M's language classes by ``op``, and checks the budget before it builds
-    any letter-swap map.  Over a budget, ``BudgetExceeded`` is raised.
+    Exhaustive mode refuses either side over ``DEFAULT_MACHINE_BUDGET``
+    machines first, enumerates each side size once, classes it by language,
+    classes M's language classes by ``op``, and checks the budget before it
+    builds any letter-swap map.  Over a budget, ``BudgetExceeded`` is raised.
     Sampled mode measures a pair only if a bound on its size, from M's
     finals and then from M's first component, can pass the running maximum.
     Deterministic for fixed arguments; ties go to the earliest pair, and the
@@ -479,9 +479,12 @@ def search_max(
     examined = 0
     measured = 0
     if mode.kind == "exhaustive":
-        n_side = _classes(n, alphabet, minimize)
+        for total in (dfa_space_size(n, alphabet), dfa_space_size(m, alphabet)):
+            if total > DEFAULT_MACHINE_BUDGET:
+                raise BudgetExceeded(total, DEFAULT_MACHINE_BUDGET)
+        n_side = _classes(n, alphabet)
         n_count, n_keys, n_first, n_sized = n_side
-        m_side = n_side if m == n else _classes(m, alphabet, minimize)
+        m_side = n_side if m == n else _classes(m, alphabet)
         m_count, m_lang, m_lang_first, _ = m_side
         m_keys, m_first, m_sized, op_swaps = _op_classes(m_lang, m_lang_first, op)
         cells = len(m_keys) * len(n_keys)

@@ -103,22 +103,17 @@ class BoundKind(Enum):
     """The closed-form sizes evaluated by ``bound_value``."""
 
     STAR_COMBINED_TIGHT = "star-combined-tight"
-    STAR_COMBINED_UPPER_K = "star-combined-upper-k"
     REVERSAL_COMBINED_TIGHT = "reversal-combined-tight"
     INDIVIDUAL_STAR = "individual-star"
     INDIVIDUAL_REVERSAL = "individual-reversal"
     INDIVIDUAL_BOOLEAN = "individual-boolean"
 
 
-def bound_value(
-    kind: BoundKind, m: int, n: int | None = None, k: int | None = None
-) -> int:
+def bound_value(kind: BoundKind, m: int, n: int | None = None) -> int:
     """Exact value of the closed form for the given parameters.
 
     ``n`` is ignored by the individual star and reversal kinds and required
-    otherwise: at least 2 for the tight combined kinds, at least 1 for the
-    rest.  ``k``, the number of finals other than the start, is used only by
-    the k-aware star kind and must lie in ``1..m-1``.
+    otherwise: at least 1 for the boolean kind, at least 2 for the rest.
     """
     if not isinstance(kind, BoundKind):
         raise ValueError(f"need a BoundKind, got {kind!r}")
@@ -134,12 +129,6 @@ def bound_value(
         if not _is_int(n) or n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         return m * n
-    if kind is BoundKind.STAR_COMBINED_UPPER_K:
-        if not _is_int(n) or n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        if not _is_int(k) or not 1 <= k <= m - 1:
-            raise ValueError(f"need 1 <= k <= m - 1, got k={k} for m={m}")
-        return pipeline_bound(CombinedOp.STAR_UNION, m, n, k)
     if not _is_int(n) or n < 2:
         raise ValueError(f"{kind.value} needs n >= 2, got {n}")
     if kind is BoundKind.STAR_COMBINED_TIGHT:

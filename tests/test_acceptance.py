@@ -85,22 +85,26 @@ def _report(capsys, number: int, name: str, ok: bool, elapsed: float, detail: st
 
 
 def _tight_grid_check(capsys, number: int, name: str, op: CombinedOp, budget: float):
-    kind = (
-        BoundKind.STAR_COMBINED_TIGHT
-        if op.uses_star
-        else BoundKind.REVERSAL_COMBINED_TIGHT
-    )
+    if op.uses_star:
+        kind, first = BoundKind.STAR_COMBINED_TIGHT, BoundKind.INDIVIDUAL_STAR
+    else:
+        kind, first = BoundKind.REVERSAL_COMBINED_TIGHT, BoundKind.INDIVIDUAL_REVERSAL
+
+    def check(m, n, got):
+        # the tight form, and the paper's claim that the combined operation
+        # costs n - 1 states less than composing its parts' worst cases
+        want = bound_value(kind, m, n)
+        composed = bound_value(BoundKind.INDIVIDUAL_BOOLEAN, bound_value(first, m), n)
+        if got != want or composed - got != n - 1:
+            bad.append((m, n, got, want, composed))
+
     t0 = time.perf_counter()
     bad = []
     for (op_, m, n), (sub, part) in _grid_cells(op):
-        want = bound_value(kind, m, n)
-        if part.block_count != want:
-            bad.append((m, n, part.block_count, want))
+        check(m, n, part.block_count)
     # bind a few cells to the public measurement as well
     for m, n in ((2, 2), (3, 4), (5, 2)):
-        got = state_complexity(*witness_pair(op, m, n), op)
-        if got != bound_value(kind, m, n):
-            bad.append((m, n, got, bound_value(kind, m, n)))
+        check(m, n, state_complexity(*witness_pair(op, m, n), op))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < budget
     _report(capsys, number, name, ok, elapsed, f"mismatches={bad[:4]}")
@@ -137,12 +141,12 @@ def test_05_individual_operation_anchors(capsys):
     bad = []
     for m in range(2, 9):
         got = minimize(star_explicit(star_witness_m(m)).dfa).state_count
-        if got != 3 * 2 ** (m - 2):
+        if got != bound_value(BoundKind.INDIVIDUAL_STAR, m):
             bad.append(("star", m, got))
     for m in range(2, 11):
         reversed_m = first_component(reversal_witness_m(m), CombinedOp.REVERSAL_UNION)
         got = minimize(reversed_m.dfa).state_count
-        if got != 2**m:
+        if got != bound_value(BoundKind.INDIVIDUAL_REVERSAL, m):
             bad.append(("reversal", m, got))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 10.0

@@ -19,7 +19,6 @@ PUBLIC = [
     "SearchMode",
     "SearchReport",
     "SplitMix64",
-    "StarPrecondition",
     "SubsetDfa",
     "Word",
     "bound_value",

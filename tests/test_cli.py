@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -236,26 +237,17 @@ def test_sweep_range_validation(capsys):
     code, _, err = run(capsys, "sweep", "reversal-union", "--m", "2..13", "--n", "2")
     assert code == 2
     assert "outside 2..12" in err
-    code, out, _ = run(
-        capsys, "sweep", "reversal-union", "--m", "11", "--n", "2", "--max-m", "11"
-    )
-    assert code == 0
-    assert out.splitlines()[1].startswith("reversal-union,11,2,")
 
 
-def test_sweep_zero_caps_are_honoured(capsys):
-    code, out, err = run(
-        capsys, "sweep", "star-union", "--m", "2", "--n", "2", "--max-m", "0"
-    )
-    assert code == 2
-    assert out == ""
-    assert "outside 2..0" in err
-    code, out, err = run(
-        capsys, "sweep", "star-union", "--m", "2", "--n", "2", "--max-n", "0"
-    )
-    assert code == 2
-    assert out == ""
-    assert "outside 2..0" in err
+def test_sweep_caps_have_no_override_flag(capsys):
+    # the caps are fixed: there is no flag to override them
+    for flag in ("--max-m", "--max-n"):
+        code, out, err = run(
+            capsys, "sweep", "reversal-union", "--m", "11", "--n", "2", flag, "11"
+        )
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag} 11" in err
 
 
 def test_sweep_several_ops_make_one_table(capsys):
@@ -292,12 +284,6 @@ def test_sweep_checks_every_op_cap_before_measuring(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "outside 2..12" in err
-    code, out, err = run(
-        capsys, "sweep", *ops, "--m", "2..12", "--n", "2", "--max-m", "11"
-    )
-    assert code == 2
-    assert out == ""
-    assert "outside 2..11" in err
 
 
 def test_sweep_cap_is_twelve_for_every_op(capsys, monkeypatch):
@@ -322,10 +308,13 @@ def test_sweep_cap_is_twelve_for_every_op(capsys, monkeypatch):
     assert calls == [(op, (12, 12)) for op in CombinedOp]
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def test_readme_command_lines_parse():
     # every `sclab ...` line in the README's sh blocks is accepted by the
     # parser; nothing is run
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = README.read_text()
     blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
     lines = [
         ln.strip()
@@ -342,6 +331,24 @@ def test_readme_command_lines_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+def test_readme_prose_names_only_cli_options():
+    # every --flag the README's prose names is an option of some subcommand
+    readme = README.read_text()
+    parser = build_parser()
+    (subcommands,) = [
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        flag for sub in subcommands.values() for flag in sub._option_string_actions
+    }
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", prose))
+    assert {"--exhaustive", "--samples", "--seed"} <= named
+    assert named <= options, named - options
 
 
 def test_python_dash_m_runs_the_cli():

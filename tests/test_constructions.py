@@ -5,7 +5,6 @@ from sclab import (
     AlphabetMismatch,
     CombinedOp,
     Dfa,
-    StarPrecondition,
     combined,
     dfa_accepts,
     enumerate_dfas,
@@ -102,19 +101,23 @@ def test_star_explicit_state_count_formula():
     assert sub.dfa.state_count == 2 ** 3 + 2 ** 1
 
 
-def test_star_explicit_needs_a_final_besides_the_start():
-    with pytest.raises(StarPrecondition):
-        star_explicit(mkdfa(AB, [(0, 1), (1, 0)], {0}))
-    with pytest.raises(StarPrecondition):
-        star_explicit(mkdfa(AB, [(0, 1), (1, 0)], set()))
+def test_star_explicit_without_a_final_besides_the_start():
+    # k = 0: every non-empty subset plus the injected start, 2**m states;
+    # the star is the language itself (start final) or {empty word}
+    for finals in ({0}, set()):
+        d = mkdfa(AB, [(0, 1), (1, 0)], finals)
+        sub = star_explicit(d)
+        assert sub.state_count == sub.dfa.state_count == 2**2
+        for w in words_upto(2, 6):
+            expected = dfa_accepts(d, w) if finals else not w
+            assert dfa_accepts(sub.dfa, w) == expected, (finals, w)
+            assert star_membership_oracle(d, w) == expected, (finals, w)
 
 
 def test_star_explicit_matches_membership_oracle():
     machines = [star_witness_m(m) for m in (2, 3, 4)]
     machines += [random_dfa(3, AB, seed) for seed in range(200)]
     for d in machines:
-        if not d.finals - {d.start}:
-            continue
         sub = star_explicit(d)
         for w in words_upto(d.sigma, 6):
             assert dfa_accepts(sub.dfa, w) == star_membership_oracle(d, w)
@@ -260,8 +263,6 @@ def test_determinize_labels_are_the_simulated_subsets():
 
 def test_star_explicit_labels_are_the_simulated_subsets():
     for d in random_machines(range(2, 6)):
-        if not d.finals - {d.start}:
-            continue
         sub = star_explicit(d)
         values = simulated(sub.dfa, *star_simulation(d))
         assert_one_to_one(sub, values, star_final(d))
@@ -313,9 +314,8 @@ def test_star_walk_accepts_the_star_within_the_explicit_count():
         accepted = [dfa_accepts(sub.dfa, w) for w in words[d.sigma]]
         assert accepted == stars[key], d
         m, k = d.state_count, len(d.finals - {d.start})
-        if k:
-            assert minimize(sub.dfa) == minimize(star_explicit(d).dfa), d
-            assert sub.dfa.state_count <= 2 ** (m - 1) + 2 ** (m - k - 1), d
+        assert minimize(sub.dfa) == minimize(star_explicit(d).dfa), d
+        assert sub.dfa.state_count <= 2 ** (m - 1) + 2 ** (m - k - 1), d
 
 
 def test_star_walk_reaches_the_explicit_count_on_the_witnesses():
@@ -369,9 +369,8 @@ def test_star_walk_labels_are_the_simulated_subsets():
 
 def test_star_explicit_reachable_part_is_the_star_walk():
     for d in star_machines():
-        if d.finals - {d.start}:
-            walk = first_component(d, CombinedOp.STAR_UNION).dfa
-            assert relabel_canonical(star_explicit(d).dfa) == walk, d
+        walk = first_component(d, CombinedOp.STAR_UNION).dfa
+        assert relabel_canonical(star_explicit(d).dfa) == walk, d
 
 
 def test_state_count_agrees_with_the_table():
@@ -401,7 +400,6 @@ def test_state_count_agrees_with_the_table():
             assert sub.dfa == table, d
             assert sub.state_count == sub.dfa.state_count, d
         m, k = d.state_count, len(d.finals - {d.start})
-        if k:
-            sub = star_explicit(d)
-            assert sub.state_count == sub.dfa.state_count, d
-            assert sub.state_count == 2 ** (m - 1) + 2 ** (m - k - 1), d
+        sub = star_explicit(d)
+        assert sub.state_count == sub.dfa.state_count, d
+        assert sub.state_count == 2 ** (m - 1) + 2 ** (m - k - 1), d

@@ -344,8 +344,7 @@ def test_trusted_builders_match_the_checked_constructor():
         assert_rebuilds(relabel_canonical(d))
         for op in (CombinedOp.STAR_UNION, CombinedOp.REVERSAL_UNION):
             assert_rebuilds(first_component(d, op).dfa)
-        if d.finals - {d.start}:
-            assert_rebuilds(star_explicit(d).dfa)
+        assert_rebuilds(star_explicit(d).dfa)
     for d1, d2 in zip(machines, machines[1:]):
         if d1.alphabet == d2.alphabet:
             for mode in ("union", "intersection"):
@@ -436,6 +435,27 @@ def test_a_raised_pair_budget_keeps_the_machine_budget():
     assert err.value.needed == 312_500_000
     assert err.value.budget == DEFAULT_MACHINE_BUDGET
     assert "312500000 machines" in str(err.value)
+
+
+def test_an_oversized_side_is_refused_before_either_side_is_enumerated(monkeypatch):
+    # classing N's 157,464 three-state machines on three letters takes
+    # seconds, and the four-state M side is over the budget, so no machine
+    # of either side is fed
+    fed = [0]
+    real = oracle.enumerate_dfas
+
+    def counting(states, alphabet, consumer):
+        def feed(d):
+            fed[0] += 1
+            consumer(d)
+
+        return real(states, alphabet, feed)
+
+    monkeypatch.setattr(oracle, "enumerate_dfas", counting)
+    with pytest.raises(BudgetExceeded) as err:
+        search_max(CombinedOp.STAR_UNION, 4, 3, STAR_ALPHABET, SearchMode.exhaustive())
+    assert err.value.needed == 268_435_456
+    assert fed[0] == 0
 
 
 def test_exhaustive_budget_counts_class_pairs_not_pairs_covered():
@@ -708,16 +728,22 @@ def test_exhaustive_search_at_m_not_n_keeps_each_sides_language_firsts(monkeypat
 def test_op_classes_match_classing_each_machine_by_op(op, m, sigma):
     # the M sides of the searches at (2,2,σ=1-3), (3,2,2), (2,3,2) and
     # (3,3,2): classing language classes by op equals classing every
-    # machine by the minimal DFA of its first component
+    # machine by the minimal DFA of its first component, built here
+    # straight from the enumeration
     alphabet = Alphabet(("a", "b", "c")[:sigma])
-    count, keys, first, sized = oracle._classes(
-        m, alphabet, lambda d: minimize(first_component(d, op).dfa)
+    first = {}
+    count = enumerate_dfas(
+        m, alphabet, lambda d: first.setdefault(minimize(first_component(d, op).dfa), d)
     )
-    lang_count, lang_keys, lang_first, _ = oracle._classes(m, alphabet, minimize)
+    keys = list(first)
+    sized = {}
+    for c, key in enumerate(keys):
+        sized.setdefault(key.state_count, []).append(c)
+    lang_count, lang_keys, lang_first, _ = oracle._classes(m, alphabet)
     op_keys, op_first, op_sized, op_swaps = oracle._op_classes(lang_keys, lang_first, op)
     assert lang_count == count
     assert op_keys == keys
-    assert op_first == first
+    assert op_first == list(first.values())
     assert op_sized == sized
     assert op_swaps(oracle._letter_swaps(lang_keys)) == oracle._letter_swaps(keys)
 

@@ -130,10 +130,6 @@ def test_factories_reject_sizes_below_two():
             lambda: bound_value(BoundKind.INDIVIDUAL_BOOLEAN, 2, 1.5),
             "need n >= 1, got 1.5",
         ),
-        (
-            lambda: bound_value(BoundKind.STAR_COMBINED_UPPER_K, 3, 2, k=True),
-            "need 1 <= k <= m - 1, got k=True for m=3",
-        ),
         (lambda: star_witness_m(3.0), "need m >= 2, got 3.0"),
         (lambda: star_witness_n(2.0), "need n >= 2, got 2.0"),
         (lambda: star_witness_n_intersection(2.0), "need n >= 2, got 2.0"),
@@ -173,7 +169,6 @@ def test_witness_pair_selects_by_op():
 
 def test_bound_value_known_points():
     assert bound_value(BoundKind.STAR_COMBINED_TIGHT, 4, 3) == 34
-    assert bound_value(BoundKind.STAR_COMBINED_UPPER_K, 3, 2, k=2) == 9
     assert bound_value(BoundKind.REVERSAL_COMBINED_TIGHT, 2, 2) == 7
     assert bound_value(BoundKind.INDIVIDUAL_STAR, 5) == 24
     assert bound_value(BoundKind.INDIVIDUAL_REVERSAL, 6) == 64
@@ -188,26 +183,14 @@ def test_bound_value_domain_errors():
     with pytest.raises(ValueError):
         bound_value(BoundKind.STAR_COMBINED_TIGHT, 3, 1)
     with pytest.raises(ValueError):
-        bound_value(BoundKind.STAR_COMBINED_UPPER_K, 3, 2, k=0)
-    with pytest.raises(ValueError):
-        bound_value(BoundKind.STAR_COMBINED_UPPER_K, 3, 2, k=3)
-    with pytest.raises(ValueError):
         bound_value(BoundKind.INDIVIDUAL_BOOLEAN, 2, 0)
-
-
-def test_upper_k_with_one_final_matches_the_tight_form():
-    for m in range(2, 13):
-        for n in range(2, 9):
-            assert bound_value(
-                BoundKind.STAR_COMBINED_UPPER_K, m, n, k=1
-            ) == bound_value(BoundKind.STAR_COMBINED_TIGHT, m, n)
 
 
 def test_bounds_grow_with_m():
     for kind in BoundKind:
         previous = None
         for m in range(2, 10):
-            value = bound_value(kind, m, 3, k=1)
+            value = bound_value(kind, m, 3)
             if previous is not None:
                 assert value > previous
             previous = value
@@ -215,15 +198,30 @@ def test_bounds_grow_with_m():
 
 def test_plain_pairing_stays_below_the_star_form():
     # m*n never reaches the star pipeline's worst case, including at n=1
-    # where the tight form is expressed through the k-aware bound
+    # where the tight form is expressed through the pipeline bound at k=1
     for m in range(2, 13):
-        assert m * 1 < bound_value(BoundKind.STAR_COMBINED_UPPER_K, m, 1, k=1)
+        assert m * 1 < pipeline_bound(CombinedOp.STAR_UNION, m, 1, 1)
         for n in range(2, 9):
             assert m * n < bound_value(BoundKind.STAR_COMBINED_TIGHT, m, n)
 
 
+def test_star_pipeline_bound_peaks_at_one_final():
+    # one final besides the start is the worst case: the bound falls as k
+    # grows, and k = 0 (L* needs at most m states) is below k = 1
+    for m in range(2, 13):
+        for n in range(1, 9):
+            values = [
+                pipeline_bound(CombinedOp.STAR_UNION, m, n, k) for k in range(m)
+            ]
+            assert values[0] < values[1], (m, n)
+            assert all(a >= b for a, b in zip(values[1:], values[2:])), (m, n)
+            if n >= 2:
+                assert values[1] == bound_value(BoundKind.STAR_COMBINED_TIGHT, m, n)
+
+
 def test_pipeline_bound_star_cases():
     assert pipeline_bound(CombinedOp.STAR_UNION, 4, 3, k=0) == 12
+    assert pipeline_bound(CombinedOp.STAR_UNION, 3, 2, k=2) == 9
     assert pipeline_bound(CombinedOp.STAR_INTERSECTION, 4, 3, k=1) == 34
     assert pipeline_bound(CombinedOp.STAR_UNION, 4, 3, k=3) == (8 + 1) * 3 - 3 + 1
     with pytest.raises(ValueError):
