@@ -147,12 +147,16 @@ def minimize(d: Dfa) -> Dfa:
     """Reachable-trim quotient by state equivalence, canonically relabeled.
 
     The result is complete, accepts the same language as ``d``, has no pair
-    of equivalent states, and is a fixed point of this function.
+    of equivalent states, and is a fixed point of this function; a machine
+    that is already its own canonical quotient is returned as it is.
     """
     order, rows, finals = reachable(d)
     block_of, count = _refine(len(order), rows, finals)
+    if count == d.state_count and order == list(range(count)):
+        return d
     number, reps = _first_appearance(block_of, count)
-    delta = tuple([tuple([number[block_of[t]] for t in rows[r]]) for r in reps])
+    cls = [number[b] for b in block_of]
+    delta = tuple([tuple([cls[t] for t in rows[r]]) for r in reps])
     qfinals = frozenset(i for i, r in enumerate(reps) if finals[r])
     return Dfa._trusted(d.alphabet, count, 0, qfinals, delta)
 

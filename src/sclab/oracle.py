@@ -331,14 +331,14 @@ class SearchReport:
     pairs_measured: int
 
 
-def _measured_size(d1: Dfa, dN: Dfa, mode: BooleanMode, best: int = -1) -> int:
+def _measured_size(d1: Dfa, dN: Dfa, mode: BooleanMode, best: int) -> int:
     """Minimal-DFA size of the pair machine of ``d1`` (a first component)
     and ``dN``, skipping object construction.
 
     The pair machine is reachable by construction, so the refined block
     count equals the minimised state count.  A pair machine of at most
     ``best`` states cannot beat ``best``, so its state count, an upper bound
-    of the size, is returned without refining.
+    of the size, is returned without refining; ``best = -1`` always refines.
     """
     pairs, rows = pair_rows(d1, dN)
     if len(pairs) <= best:
@@ -391,13 +391,16 @@ def _op_classes(
     ``_classes`` keyed per machine, without a second enumeration.  Also
     returns a function taking the language classes' letter swaps to the op
     classes': renaming letters commutes with star and reversal, so an op
-    class moves where its first language class moves.
+    class moves where its first language class moves.  A key has no
+    unreachable state, so its reversal walk is minimal and canonical already
+    (Brzozowski's lemma); only star keys are minimised.
     """
     number: dict[Dfa, int] = {}
     op_class: list[int] = []
     rep: list[int] = []
     for c, key in enumerate(lang_keys):
-        k = number.setdefault(minimize(first_component(key, op).dfa), len(number))
+        walk = first_component(key, op).dfa
+        k = number.setdefault(minimize(walk) if op.uses_star else walk, len(number))
         if k == len(rep):
             rep.append(c)
         op_class.append(k)
@@ -506,10 +509,11 @@ def search_max(
         # is measured at the first cell reached and marked seen; that cell
         # has the orbit's earliest pair, since an orbit lies in one group, a
         # group is walked in ascending cell order, and classes are numbered
-        # by first appearance.  The kernel gets the running maximum minus
-        # one, so a size reaching it is exact and any other stays below it;
-        # so the lowest measured cell of the largest size holds the earliest
-        # pair reaching the maximum.
+        # by first appearance.  A cell before the running winner gets the
+        # running maximum minus one, so a tie there is exact and takes the
+        # win; a cell after it cannot win a tie and gets the maximum itself.
+        # A size above the kernel's bar is exact, so the lowest measured
+        # cell of the largest size holds the earliest pair reaching it.
         width = len(n_keys)
         seen = bytearray(cells)
         winner = -1
@@ -524,7 +528,8 @@ def search_max(
                     cell = cm * width + cn
                     if seen[cell]:
                         continue
-                    size = _measured_size(m_keys[cm], n_keys[cn], boolean, best - 1)
+                    bar = best if cell > winner else best - 1
+                    size = _measured_size(m_keys[cm], n_keys[cn], boolean, bar)
                     measured += 1
                     if size > best or (size == best and cell < winner):
                         best, winner = size, cell

@@ -575,3 +575,18 @@ def test_search_rejects_seeds_outside_64_bits(capsys):
     code, out, _ = run(capsys, *argv, "--seed", str((1 << 64) - 1))
     assert code == 0
     assert f"seed={(1 << 64) - 1}" in out
+
+
+SEARCH_REPORTS = Path(__file__).resolve().parent / "data" / "search_reports.json"
+
+
+def test_search_reports_match_the_recorded_ones(capsys):
+    # JSON reports of the exhaustive searches at m = n = 2 on one to three
+    # letters and of sampled searches at (4,3,3), 1,000 samples, seeds 0-2,
+    # all four ops: the output must stay the same byte for byte
+    cases = json.loads(SEARCH_REPORTS.read_text())
+    assert len(cases) == 24
+    for case in cases:
+        code, out, err = run(capsys, *case["command"].split())
+        assert (code, err) == (case["exit"], ""), case["command"]
+        assert out == json.dumps(case["report"], indent=2) + "\n", case["command"]

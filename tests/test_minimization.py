@@ -52,6 +52,48 @@ def test_witnesses_are_already_minimal():
     assert minimize(reversal_witness_m(6)).state_count == 6
 
 
+def test_minimize_returns_a_canonical_minimal_machine_itself():
+    # a machine that is already its own quotient, numbered in breadth-first
+    # order, comes back as it is rather than as a copy
+    for d in (
+        star_witness_m(5),
+        star_witness_n(4),
+        star_witness_n_intersection(4),
+        reversal_witness_m(2),
+        reversal_witness_n(5),
+    ):
+        assert minimize(d) is d
+    for d in (
+        reversal_witness_m(6),
+        combined(star_witness_m(3), star_witness_n(3), CombinedOp.STAR_UNION).dfa,
+        random_dfa(6, AB, 17),
+    ):
+        small = relabel_canonical(minimize(d))
+        assert minimize(small) is small
+
+
+def test_minimize_renumbers_a_minimal_machine_out_of_canonical_order():
+    # reversal_witness_m is minimal but not numbered breadth-first, and a
+    # renumbered copy of a canonical minimal machine is no longer canonical:
+    # both get a new machine, equal to the canonical one
+    d = reversal_witness_m(6)
+    small = minimize(d)
+    assert small is not d
+    assert small == relabel_canonical(d) and small.state_count == 6
+    x = star_witness_m(5)
+    last = x.state_count - 1
+    shuffled = Dfa(
+        x.alphabet,
+        x.state_count,
+        last - x.start,
+        frozenset(last - q for q in x.finals),
+        tuple(tuple(last - t for t in x.delta[last - q]) for q in range(last + 1)),
+    )
+    assert shuffled != x
+    small = minimize(shuffled)
+    assert small is not shuffled and small == x
+
+
 def test_minimize_merges_duplicate_states():
     # states 1 and 2 behave identically; 3 is unreachable
     d = Dfa(
@@ -73,7 +115,7 @@ def test_minimize_is_idempotent_structurally():
         first_component(reversal_witness_m(4), CombinedOp.REVERSAL_UNION).dfa,
     ):
         once = minimize(d)
-        assert minimize(once) == once
+        assert minimize(once) is once
 
 
 def test_minimize_all_finals_collapses_to_one_state():

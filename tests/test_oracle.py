@@ -33,6 +33,8 @@ from sclab import (
     table_filling_minimize,
 )
 from sclab import oracle
+from sclab.core import reachable
+from sclab.minimization import _refine
 from sclab.oracle import _measured_size, _random_finals, _random_rows
 from sclab.witnesses import (
     STAR_ALPHABET,
@@ -540,7 +542,7 @@ def unpruned_class_table(op, m, n, alphabet):
     m_keys = [minimize(first_component(dM, op).dfa) for dM in ms]
     n_keys = [minimize(dN) for dN in ns]
     size = {
-        (km, kn): _measured_size(km, kn, op.boolean_mode)
+        (km, kn): _measured_size(km, kn, op.boolean_mode, -1)
         for km in set(m_keys)
         for kn in set(n_keys)
     }
@@ -623,21 +625,94 @@ def test_reversal_maxima_agree_under_complement(unpruned, sigma):
 
 @pytest.mark.parametrize("op", [CombinedOp.STAR_UNION, CombinedOp.REVERSAL_UNION])
 def test_exhaustive_sizes_that_reach_the_maximum_are_exact(monkeypatch, op):
-    # a reachable count standing in for a size must stay below the maximum,
-    # or the search could keep a pair that only seems to tie
+    # a size above the kernel's bar is exact, and a pair count standing in
+    # for a size stays at or below the bar, so the search cannot keep a
+    # pair that only seems to win
     calls = []
 
-    def recording(d1, dN, mode, best=-1):
+    def recording(d1, dN, mode, best):
         size = _measured_size(d1, dN, mode, best)
-        calls.append((d1, dN, size))
+        calls.append((d1, dN, best, size))
         return size
 
     monkeypatch.setattr(oracle, "_measured_size", recording)
     report = search_max(op, 2, 2, STAR_ALPHABET, SearchMode.exhaustive())
     assert len(calls) == report.pairs_measured
-    for d1, dN, size in calls:
-        if size >= report.observed_max:
-            assert size == _measured_size(d1, dN, op.boolean_mode), (d1, dN)
+    for d1, dN, best, size in calls:
+        exact = _measured_size(d1, dN, op.boolean_mode, -1)
+        if size > best:
+            assert size == exact, (d1, dN, best)
+        else:
+            assert exact <= size <= best, (d1, dN, best)
+
+
+@pytest.mark.parametrize(
+    "op, refined",
+    [
+        (CombinedOp.STAR_UNION, 8),
+        (CombinedOp.STAR_INTERSECTION, 2),
+        (CombinedOp.REVERSAL_UNION, 512),
+        (CombinedOp.REVERSAL_INTERSECTION, 462),
+    ],
+)
+def test_exhaustive_kernel_refines_only_cells_that_can_win(monkeypatch, op, refined):
+    # a cell after the running winner cannot win on a tie, so only a pair
+    # machine larger than the maximum is refined there
+    calls = []
+
+    def counting(n, rows, finals):
+        calls.append(n)
+        return _refine(n, rows, finals)
+
+    monkeypatch.setattr(oracle, "_refine", counting)
+    search_max(op, 2, 2, STAR_ALPHABET, SearchMode.exhaustive())
+    assert len(calls) == refined
+
+
+@pytest.mark.parametrize(
+    "op, m, sigma",
+    [
+        (CombinedOp.STAR_UNION, 2, 2),
+        (CombinedOp.STAR_UNION, 3, 1),
+        (CombinedOp.STAR_INTERSECTION, 3, 1),
+    ],
+)
+def test_exhaustive_kernel_bar_admits_ties_only_before_the_winner(
+    monkeypatch, op, m, sigma
+):
+    # a cell before the running winner may take the win on a tie, so the
+    # kernel gets the maximum minus one there; after the winner it gets the
+    # maximum.  Cells are ordered by the first machine of their keys, as the
+    # classes are numbered by first appearance.  These searches measure
+    # cells before the winner; the one at (2,2,3) measures none.
+    alphabet = Alphabet(("a", "b")[:sigma])
+    machines = []
+    enumerate_dfas(m, alphabet, machines.append)
+    first_m, first_n = {}, {}
+    for i, d in enumerate(machines):
+        first_m.setdefault(minimize(first_component(d, op).dfa), i)
+        first_n.setdefault(minimize(d), i)
+    calls = []
+
+    def recording(d1, dN, mode, best):
+        size = _measured_size(d1, dN, mode, best)
+        calls.append(((first_m[d1], first_n[dN]), best, size))
+        return size
+
+    monkeypatch.setattr(oracle, "_measured_size", recording)
+    report = search_max(op, m, m, alphabet, SearchMode.exhaustive())
+    best, winner, before = -1, (-1, -1), 0
+    for at, bar, size in calls:
+        if at < winner:
+            before += 1
+            assert bar == best - 1, at
+        else:
+            assert bar == best, at
+        if size > best or (size == best and at < winner):
+            best, winner = size, at
+    assert before > 0
+    assert best == report.observed_max
+    assert winner == tuple(machines.index(d) for d in report.achieving_pair)
 
 
 @pytest.mark.parametrize(
@@ -656,7 +731,7 @@ def test_each_orbit_is_measured_at_its_earliest_pair(monkeypatch, op):
         first_n.setdefault(minimize(d), i)
     calls = []
 
-    def recording(d1, dN, mode, best=-1):
+    def recording(d1, dN, mode, best):
         calls.append((d1, dN))
         return _measured_size(d1, dN, mode, best)
 
@@ -685,7 +760,7 @@ def _alive_at_first_kernel_call(monkeypatch, op, m, n, alphabet):
 
     alive = []
 
-    def counting(d1, dN, mode, best=-1):
+    def counting(d1, dN, mode, best):
         if not alive:
             gc.collect()
             alive.append([ref() for ref in fed if ref() is not None])
@@ -748,6 +823,38 @@ def test_op_classes_match_classing_each_machine_by_op(op, m, sigma):
     assert op_swaps(oracle._letter_swaps(lang_keys)) == oracle._letter_swaps(keys)
 
 
+REVERSAL_OPS = [CombinedOp.REVERSAL_UNION, CombinedOp.REVERSAL_INTERSECTION]
+
+
+@pytest.mark.parametrize(
+    "m, sigma", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2), (2, 3)]
+)
+def test_reversal_walks_of_language_keys_are_minimal(m, sigma):
+    # Brzozowski's lemma: the subset walk of the reverse of an accessible
+    # DFA is minimal.  Language keys have no unreachable state, so
+    # _op_classes takes their reversal walks as op keys without minimising
+    alphabet = Alphabet(("a", "b", "c")[:sigma])
+    _, keys, _, _ = oracle._classes(m, alphabet)
+    for key in keys:
+        for op in REVERSAL_OPS:
+            walk = first_component(key, op).dfa
+            assert minimize(walk) == walk, (key, op)
+
+
+def test_reversal_walks_need_not_be_minimal_with_unreachable_states():
+    # the lemma needs an accessible machine: of the 5,832 three-state binary
+    # machines, 1,382 have a reversal walk that is not minimal, and each of
+    # them has an unreachable state
+    machines = []
+    enumerate_dfas(3, AB, machines.append)
+    for op in REVERSAL_OPS:
+        loose = [
+            d for d in machines if minimize(w := first_component(d, op).dfa) != w
+        ]
+        assert (len(machines), len(loose)) == (5_832, 1_382)
+        assert all(len(reachable(d)[0]) < d.state_count for d in loose)
+
+
 def test_exhaustive_budget_is_checked_before_any_swap_map(monkeypatch):
     def refused(keys):
         raise AssertionError("built a swap map")
@@ -775,7 +882,8 @@ def test_search_kernel_agrees_with_both_minimisers(op):
                 for _ in range(4):
                     dM = random_dfa(m, alphabet, rng.next_uint64())
                     dN = random_dfa(n, alphabet, rng.next_uint64())
-                    kernel = _measured_size(first_component(dM, op).dfa, dN, op.boolean_mode)
+                    first = first_component(dM, op).dfa
+                    kernel = _measured_size(first, dN, op.boolean_mode, -1)
                     pipeline = state_complexity(dM, dN, op)
                     oracle = table_filling_minimize(combined(dM, dN, op).dfa)
                     assert kernel == pipeline == oracle.state_count, (dM, dN)

@@ -91,7 +91,7 @@ def test_minimize_leaves_no_equivalent_pair(data):
 def test_minimize_is_canonical_and_idempotent(data):
     d = data.draw(dfas())
     small = minimize(d)
-    assert minimize(small) == small
+    assert minimize(small) is small
     assert relabel_canonical(small) == small
 
 
