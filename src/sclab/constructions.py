@@ -238,16 +238,14 @@ def first_component(d: Dfa, op: CombinedOp) -> SubsetDfa:
     return _star(d) if op.uses_star else _reversal(d)
 
 
-def first_component_cap(
-    op: CombinedOp, m: int, start: int, finals: frozenset[int]
-) -> int:
+def first_component_cap(op: CombinedOp, m: int, finals: frozenset[int]) -> int:
     """The most states ``first_component`` can reach on an ``m``-state
-    machine with this start and these finals.  With k finals other than the
-    start, the star walk reaches at most ``2**(m-1) + 2**(m-k-1)`` subsets
+    machine that starts at 0 and has these finals.  With k finals other than
+    the start, the star walk reaches at most ``2**(m-1) + 2**(m-k-1)`` subsets
     for k >= 1, and only singletons after the fresh start for k = 0.  The
     reversal walk stays on its start subset when that is empty or whole."""
     if op.uses_star:
-        k = len(finals - {start})
+        k = len(finals - {0})
         return m + 1 if k == 0 else 2 ** (m - 1) + 2 ** (m - k - 1)
     return 1 if len(finals) in (0, m) else 2**m
 

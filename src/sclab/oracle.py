@@ -50,9 +50,10 @@ class BudgetExceeded(ValueError):
     than its budget allows."""
 
     def __init__(self, needed: int, budget: int, what: str = "machines"):
-        super().__init__(
-            f"would examine {needed} {what}, over the budget of {budget}"
-        )
+        # Python will not write an integer of over 4,300 digits in decimal.
+        bits = needed.bit_length()
+        shown = needed if bits <= 64 else f"at least 2**{bits - 1}"
+        super().__init__(f"would examine {shown} {what}, over the budget of {budget}")
         self.needed = needed
         self.budget = budget
 
@@ -215,6 +216,18 @@ def dfa_space_size(states: int, alphabet: Alphabet) -> int:
     return states ** (states * sigma) * 2**states
 
 
+def _side_size(states: int, alphabet: Alphabet) -> int:
+    """``dfa_space_size``, refused over ``DEFAULT_MACHINE_BUDGET``.  From 64
+    states on, the ``2**states`` final sets alone are refused: the full count
+    is not formed, as it can run to millions of digits."""
+    if _is_int(states) and states >= 64:
+        raise BudgetExceeded(1 << states, DEFAULT_MACHINE_BUDGET)
+    total = dfa_space_size(states, alphabet)
+    if total > DEFAULT_MACHINE_BUDGET:
+        raise BudgetExceeded(total, DEFAULT_MACHINE_BUDGET)
+    return total
+
+
 def enumerate_dfas(
     states: int, alphabet: Alphabet, consumer: Callable[[Dfa], None]
 ) -> int:
@@ -222,23 +235,19 @@ def enumerate_dfas(
 
     Fixing the start loses no languages, since any DFA can be relabeled to
     start at 0.  Returns the number of machines emitted; refuses up front,
-    reporting the computed count, when it exceeds ``DEFAULT_MACHINE_BUDGET``.
+    reporting the count, when it exceeds ``DEFAULT_MACHINE_BUDGET``.
     """
-    total = dfa_space_size(states, alphabet)
-    if total > DEFAULT_MACHINE_BUDGET:
-        raise BudgetExceeded(total, DEFAULT_MACHINE_BUDGET)
+    total = _side_size(states, alphabet)
     sigma = len(alphabet)
     final_sets = [
         frozenset(q for q in range(states) if mask >> q & 1)
         for mask in range(1 << states)
     ]
-    count = 0
     for flat in itertools.product(range(states), repeat=states * sigma):
         rows = tuple(flat[q * sigma : (q + 1) * sigma] for q in range(states))
         for finals in final_sets:
             consumer(Dfa._trusted(alphabet, states, 0, finals, rows))
-            count += 1
-    return count
+    return total
 
 
 def random_dfa(states: int, alphabet: Alphabet, seed: int) -> Dfa:
@@ -348,21 +357,17 @@ def _measured_size(d1: Dfa, dN: Dfa, mode: BooleanMode, best: int) -> int:
     return count
 
 
-def _classes(
-    states: int, alphabet: Alphabet
-) -> tuple[int, list[Dfa], list[Dfa], dict[int, list[int]]]:
+def _classes(states: int, alphabet: Alphabet) -> tuple[list[Dfa], list[Dfa]]:
     """Enumerate the machines on ``states`` states and group them by minimal
     DFA as they stream past, numbering the classes by first appearance.
 
-    Only the first machine of each class is kept.  Returns the number of
-    machines enumerated, the distinct keys in class order, the first machine
-    of each class (so a lower class number means an earlier first machine),
-    and the classes of each key size in ascending class order.
+    Only the first machine of each class is kept.  Returns the distinct keys
+    in class order and the first machine of each class, so a lower class
+    number means an earlier first machine.
     """
     first: dict[Dfa, Dfa] = {}
-    count = enumerate_dfas(states, alphabet, lambda d: first.setdefault(minimize(d), d))
-    keys = list(first)
-    return count, keys, list(first.values()), _size_groups(keys)
+    enumerate_dfas(states, alphabet, lambda d: first.setdefault(minimize(d), d))
+    return list(first), list(first.values())
 
 
 def _size_groups(keys: list[Dfa]) -> dict[int, list[int]]:
@@ -443,6 +448,110 @@ def _letter_swaps(distinct: list[Dfa]) -> list[list[int]]:
     return maps
 
 
+def _exhaustive_walk(
+    op: CombinedOp, m: int, n: int, alphabet: Alphabet, pair_budget: int
+) -> tuple[int, tuple[Dfa, Dfa], int, int]:
+    """Every pair of machines on ``m`` and ``n`` states, walked by classes:
+    the best size, the earliest pair reaching it, the pairs covered and the
+    pair machines built."""
+    n_total = _side_size(n, alphabet)
+    m_total = _side_size(m, alphabet)
+    n_keys, n_first = _classes(n, alphabet)
+    m_lang, m_lang_first = (n_keys, n_first) if m == n else _classes(m, alphabet)
+    m_keys, m_first, m_sized, op_swaps = _op_classes(m_lang, m_lang_first, op)
+    cells = len(m_keys) * len(n_keys)
+    if cells > pair_budget:
+        raise BudgetExceeded(cells, pair_budget, "class pairs")
+    n_swaps = _letter_swaps(n_keys)
+    m_swaps = op_swaps(n_swaps if m == n else _letter_swaps(m_lang))
+    swaps = list(zip(m_swaps, n_swaps))
+    n_sized = _size_groups(n_keys)
+    # The measured size depends only on the languages op(L(M)) and L(N),
+    # so N is classed by its minimal DFA and M by the minimal DFA of its
+    # first component, which is found once per language class of M; at
+    # m = n both sides share one enumeration.  Cell cm * width + cn holds
+    # the pairs in classes (cm, cn).
+    # Renaming letters commutes with star, reversal and the products, so
+    # an orbit of cells under the letter swaps has one size.  A pair
+    # machine of two keys has at most |key M| * |key N| states, so cells
+    # are walked in groups of equal key sizes, largest product first,
+    # until a group's bound falls below the running maximum.  Each orbit
+    # is measured at the first cell reached and marked seen; that cell
+    # has the orbit's earliest pair, since an orbit lies in one group, a
+    # group is walked in ascending cell order, and classes are numbered
+    # by first appearance.  A cell before the running winner gets the
+    # running maximum minus one, so a tie there is exact and takes the
+    # win; a cell after it cannot win a tie and gets the maximum itself.
+    # A size above the kernel's bar is exact, so the lowest measured
+    # cell of the largest size holds the earliest pair reaching it.
+    boolean = op.boolean_mode
+    width = len(n_keys)
+    seen = bytearray(cells)
+    best = winner = -1
+    measured = 0
+    groups = sorted(itertools.product(m_sized, n_sized), key=lambda g: -g[0] * g[1])
+    for size_m, size_n in groups:
+        if size_m * size_n < best:
+            break
+        for cm in m_sized[size_m]:
+            for cn in n_sized[size_n]:
+                cell = cm * width + cn
+                if seen[cell]:
+                    continue
+                bar = best if cell > winner else best - 1
+                size = _measured_size(m_keys[cm], n_keys[cn], boolean, bar)
+                measured += 1
+                if size > best or (size == best and cell < winner):
+                    best, winner = size, cell
+                seen[cell] = 1
+                orbit = [cell]
+                for x in orbit:
+                    xm, xn = divmod(x, width)
+                    for to_m, to_n in swaps:
+                        y = to_m[xm] * width + to_n[xn]
+                        if not seen[y]:
+                            seen[y] = 1
+                            orbit.append(y)
+    cm, cn = divmod(winner, width)
+    return best, (m_first[cm], n_first[cn]), m_total * n_total, measured
+
+
+def _sampled_walk(
+    op: CombinedOp, m: int, n: int, alphabet: Alphabet, mode: SearchMode
+) -> tuple[int, tuple[Dfa, Dfa], int, int]:
+    """``mode.samples`` seeded random pairs: the best size, the earliest
+    sample reaching it, the pairs covered and the pair machines built."""
+    boolean = op.boolean_mode
+    rng = SplitMix64(mode.seed)
+    sigma = len(alphabet)
+    best = -1
+    measured = 0
+    # The first sample passes every bound below, so it sets the pair.
+    pair: tuple[Dfa, Dfa]
+    for _ in range(mode.samples):
+        m_seed = rng.next_uint64()
+        n_seed = rng.next_uint64()
+        # The pair machine has at most |first| * n states, and |first| is
+        # at most the cap of M's finals, which are read before M is built,
+        # and is known from the walk before its table is.  A pair whose
+        # bound cannot pass the running maximum is built no further.  Both
+        # seeds are drawn either way, so the sample stream and the
+        # achieving pair do not depend on this pruning.
+        finals = _random_finals(m, sigma, m_seed)
+        if first_component_cap(op, m, finals) * n <= best:
+            continue
+        dM = Dfa._trusted(alphabet, m, 0, finals, _random_rows(m, sigma, m_seed))
+        walk = first_component(dM, op)
+        if walk.state_count * n > best:
+            dN = random_dfa(n, alphabet, n_seed)
+            size = _measured_size(walk.dfa, dN, boolean, best)
+            measured += 1
+            if size > best:
+                best = size
+                pair = (dM, dN)
+    return best, pair, mode.samples, measured
+
+
 def search_max(
     op: CombinedOp,
     m: int,
@@ -475,109 +584,20 @@ def search_max(
         raise ValueError(f"need a SearchMode, got {mode!r}")
     if not _is_int(pair_budget) or pair_budget < 1:
         raise ValueError(f"need a positive pair budget, got {pair_budget!r}")
-    boolean = op.boolean_mode
+    # An exhaustive mode has no samples, so this refuses sampled ones only.
+    if mode.samples > pair_budget:
+        raise BudgetExceeded(mode.samples, pair_budget, "pairs")
     predicted = tight_bound(op, m, n)
-    best = -1
-    best_pair: tuple[Dfa, Dfa] | None = None
-    examined = 0
-    measured = 0
     if mode.kind == "exhaustive":
-        for total in (dfa_space_size(n, alphabet), dfa_space_size(m, alphabet)):
-            if total > DEFAULT_MACHINE_BUDGET:
-                raise BudgetExceeded(total, DEFAULT_MACHINE_BUDGET)
-        n_side = _classes(n, alphabet)
-        n_count, n_keys, n_first, n_sized = n_side
-        m_side = n_side if m == n else _classes(m, alphabet)
-        m_count, m_lang, m_lang_first, _ = m_side
-        m_keys, m_first, m_sized, op_swaps = _op_classes(m_lang, m_lang_first, op)
-        cells = len(m_keys) * len(n_keys)
-        if cells > pair_budget:
-            raise BudgetExceeded(cells, pair_budget, "class pairs")
-        n_swaps = _letter_swaps(n_keys)
-        m_swaps = op_swaps(n_swaps if m == n else _letter_swaps(m_lang))
-        swaps = list(zip(m_swaps, n_swaps))
-        # The measured size depends only on the languages op(L(M)) and L(N),
-        # so N is classed by its minimal DFA and M by the minimal DFA of its
-        # first component, which is found once per language class of M; at
-        # m = n both sides share one enumeration.  Cell cm * width + cn holds
-        # the pairs in classes (cm, cn).
-        # Renaming letters commutes with star, reversal and the products, so
-        # an orbit of cells under the letter swaps has one size.  A pair
-        # machine of two keys has at most |key M| * |key N| states, so cells
-        # are walked in groups of equal key sizes, largest product first,
-        # until a group's bound falls below the running maximum.  Each orbit
-        # is measured at the first cell reached and marked seen; that cell
-        # has the orbit's earliest pair, since an orbit lies in one group, a
-        # group is walked in ascending cell order, and classes are numbered
-        # by first appearance.  A cell before the running winner gets the
-        # running maximum minus one, so a tie there is exact and takes the
-        # win; a cell after it cannot win a tie and gets the maximum itself.
-        # A size above the kernel's bar is exact, so the lowest measured
-        # cell of the largest size holds the earliest pair reaching it.
-        width = len(n_keys)
-        seen = bytearray(cells)
-        winner = -1
-        groups = sorted(
-            itertools.product(m_sized, n_sized), key=lambda g: -g[0] * g[1]
-        )
-        for size_m, size_n in groups:
-            if size_m * size_n < best:
-                break
-            for cm in m_sized[size_m]:
-                for cn in n_sized[size_n]:
-                    cell = cm * width + cn
-                    if seen[cell]:
-                        continue
-                    bar = best if cell > winner else best - 1
-                    size = _measured_size(m_keys[cm], n_keys[cn], boolean, bar)
-                    measured += 1
-                    if size > best or (size == best and cell < winner):
-                        best, winner = size, cell
-                    seen[cell] = 1
-                    orbit = [cell]
-                    for x in orbit:
-                        xm, xn = divmod(x, width)
-                        for to_m, to_n in swaps:
-                            y = to_m[xm] * width + to_n[xn]
-                            if not seen[y]:
-                                seen[y] = 1
-                                orbit.append(y)
-        examined = m_count * n_count
-        cm, cn = divmod(winner, width)
-        best_pair = (m_first[cm], n_first[cn])
+        walk = _exhaustive_walk(op, m, n, alphabet, pair_budget)
     else:
-        if mode.samples > pair_budget:
-            raise BudgetExceeded(mode.samples, pair_budget, "pairs")
-        rng = SplitMix64(mode.seed)
-        sigma = len(alphabet)
-        for _ in range(mode.samples):
-            m_seed = rng.next_uint64()
-            n_seed = rng.next_uint64()
-            # The pair machine has at most |first| * n states, and |first| is
-            # at most the cap of M's finals, which are read before M is
-            # built, and is known from the walk before its table is.  A pair
-            # whose bound cannot pass the running maximum is built no
-            # further.  Both seeds are drawn either way, so the sample stream
-            # and the achieving pair do not depend on this pruning.
-            finals = _random_finals(m, sigma, m_seed)
-            if first_component_cap(op, m, 0, finals) * n <= best:
-                continue
-            dM = Dfa._trusted(alphabet, m, 0, finals, _random_rows(m, sigma, m_seed))
-            walk = first_component(dM, op)
-            if walk.state_count * n > best:
-                dN = random_dfa(n, alphabet, n_seed)
-                size = _measured_size(walk.dfa, dN, boolean, best)
-                measured += 1
-                if size > best:
-                    best = size
-                    best_pair = (dM, dN)
-        examined = mode.samples
-    assert best_pair is not None
-    recheck = state_complexity(best_pair[0], best_pair[1], op)
+        walk = _sampled_walk(op, m, n, alphabet, mode)
+    best, pair, examined, measured = walk
+    recheck = state_complexity(pair[0], pair[1], op)
     if recheck != best:
         raise AssertionError(
             f"fast measurement {best} disagrees with the pipeline's {recheck}"
         )
     return SearchReport(
-        op, m, n, len(alphabet), mode, best, best_pair, examined, predicted, measured
+        op, m, n, len(alphabet), mode, best, pair, examined, predicted, measured
     )

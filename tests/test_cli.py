@@ -501,6 +501,10 @@ def test_search_budget_env_var(capsys, monkeypatch):
             "search star-union --m 2 --n 5 --sigma 2 --exhaustive",
             "would examine 312500000 machines, over the budget of 2097152",
         ),
+        (
+            "search star-union --m 1000000 --n 2 --sigma 3 --exhaustive",
+            "would examine at least 2**1000000 machines, over the budget of 2097152",
+        ),
         ("sweep star-union --m 5..3 --n 2", "bad m range '5..3': 5 > 3"),
         ("sweep star-union --m 2 --n 2..9", "n range 2..9 outside 2..8"),
     ],
@@ -582,10 +586,11 @@ SEARCH_REPORTS = Path(__file__).resolve().parent / "data" / "search_reports.json
 
 def test_search_reports_match_the_recorded_ones(capsys):
     # JSON reports of the exhaustive searches at m = n = 2 on one to three
-    # letters and of sampled searches at (4,3,3), 1,000 samples, seeds 0-2,
-    # all four ops: the output must stay the same byte for byte
+    # letters and at (3,2,2) and (2,3,2), where M and N are enumerated and
+    # classed apart, and of sampled searches at (4,3,3), 1,000 samples, seeds
+    # 0-2, all four ops: the output must stay the same byte for byte
     cases = json.loads(SEARCH_REPORTS.read_text())
-    assert len(cases) == 24
+    assert len(cases) == 32
     for case in cases:
         code, out, err = run(capsys, *case["command"].split())
         assert (code, err) == (case["exit"], ""), case["command"]

@@ -327,6 +327,17 @@ def test_star_walk_reaches_the_explicit_count_on_the_witnesses():
         assert equivalent(sub.dfa, star_explicit(d).dfa), m
 
 
+def start_at_zero(d):
+    """``d`` with its start and state 0 trading numbers."""
+    s = d.start
+    swap = {0: s, s: 0}
+    rows = [None] * d.state_count
+    for q, row in enumerate(d.delta):
+        rows[swap.get(q, q)] = tuple(swap.get(t, t) for t in row)
+    finals = frozenset(swap.get(q, q) for q in d.finals)
+    return Dfa(d.alphabet, d.state_count, 0, finals, tuple(rows))
+
+
 def test_first_component_stays_within_its_cap():
     machines = []
     for alphabet in (Alphabet(("a",)), AB):
@@ -336,26 +347,26 @@ def test_first_component_stays_within_its_cap():
     for seed in range(200):
         m = 1 + seed % 6
         d = random_dfa(m, abc, seed)
-        machines.append(Dfa(abc, m, seed // 6 % m, d.finals, d.delta))
+        machines.append(start_at_zero(Dfa(abc, m, seed // 6 % m, d.finals, d.delta)))
     for op in CombinedOp:
-        # the largest first component per start and finals, over the
-        # enumerated binary machines
+        # the largest first component per finals set, over the enumerated
+        # binary machines
         reached = {}
         for d in machines:
             m = d.state_count
             size = first_component(d, op).dfa.state_count
-            assert size <= first_component_cap(op, m, d.start, d.finals), (op, d)
+            assert size <= first_component_cap(op, m, d.finals), (op, d)
             if d.alphabet == AB:
-                key = m, d.start, d.finals
+                key = m, d.finals
                 reached[key] = max(reached.get(key, 0), size)
         # binary machines reach the cap for every finals set at m <= 3,
         # k = 0 included
         assert len(reached) == 2 + 4 + 8
-        for (m, start, finals), size in reached.items():
-            assert size == first_component_cap(op, m, start, finals), (op, m, finals)
+        for (m, finals), size in reached.items():
+            assert size == first_component_cap(op, m, finals), (op, m, finals)
         for m in range(2, 9):
             d = star_witness_m(m) if op.uses_star else reversal_witness_m(m)
-            cap = first_component_cap(op, m, d.start, d.finals)
+            cap = first_component_cap(op, m, d.finals)
             assert first_component(d, op).dfa.state_count == cap, (op, m)
 
 

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import time
 import weakref
 
 import pytest
@@ -439,6 +440,23 @@ def test_a_raised_pair_budget_keeps_the_machine_budget():
     assert "312500000 machines" in str(err.value)
 
 
+def test_a_side_of_thousands_of_states_is_refused_on_its_final_sets():
+    # its full count has over 20,000 digits, which Python will not write in
+    # decimal; 2**2000 final sets alone are over the budget
+    mode = SearchMode.exhaustive()
+    start = time.perf_counter()
+    for refused in (
+        lambda: search_max(CombinedOp.STAR_UNION, 2000, 2, STAR_ALPHABET, mode),
+        lambda: enumerate_dfas(2000, STAR_ALPHABET, lambda d: None),
+    ):
+        with pytest.raises(BudgetExceeded) as err:
+            refused()
+        assert err.value.needed == 1 << 2000
+        assert err.value.budget == DEFAULT_MACHINE_BUDGET
+        assert "at least 2**2000 machines" in str(err.value)
+    assert time.perf_counter() - start < 1
+
+
 def test_an_oversized_side_is_refused_before_either_side_is_enumerated(monkeypatch):
     # classing N's 157,464 three-state machines on three letters takes
     # seconds, and the four-state M side is over the budget, so no machine
@@ -814,9 +832,9 @@ def test_op_classes_match_classing_each_machine_by_op(op, m, sigma):
     sized = {}
     for c, key in enumerate(keys):
         sized.setdefault(key.state_count, []).append(c)
-    lang_count, lang_keys, lang_first, _ = oracle._classes(m, alphabet)
+    lang_keys, lang_first = oracle._classes(m, alphabet)
     op_keys, op_first, op_sized, op_swaps = oracle._op_classes(lang_keys, lang_first, op)
-    assert lang_count == count
+    assert count == dfa_space_size(m, alphabet)
     assert op_keys == keys
     assert op_first == list(first.values())
     assert op_sized == sized
@@ -834,7 +852,7 @@ def test_reversal_walks_of_language_keys_are_minimal(m, sigma):
     # DFA is minimal.  Language keys have no unreachable state, so
     # _op_classes takes their reversal walks as op keys without minimising
     alphabet = Alphabet(("a", "b", "c")[:sigma])
-    _, keys, _, _ = oracle._classes(m, alphabet)
+    keys, _ = oracle._classes(m, alphabet)
     for key in keys:
         for op in REVERSAL_OPS:
             walk = first_component(key, op).dfa
