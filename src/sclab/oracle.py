@@ -325,8 +325,10 @@ class SearchReport:
     """Outcome of one worst-case search.  ``achieving_pair`` is the earliest
     pair reaching ``observed_max``, in enumeration order or in the sample
     stream.  ``machines_examined`` counts the (M, N) pairs the search
-    covers; ``pairs_measured`` counts the pairs whose pair machine it
-    built."""
+    covers; ``pairs_measured`` counts the pairs it measured: in exhaustive
+    mode one per cell of classes, where cells whose keys have the same
+    transition tables share one pair walk, and in sampled mode one per
+    sample whose pair machine it built."""
 
     op: CombinedOp
     m: int
@@ -340,16 +342,38 @@ class SearchReport:
     pairs_measured: int
 
 
-def _measured_size(d1: Dfa, dN: Dfa, mode: BooleanMode, best: int) -> int:
+# ``pair_rows``' output: the reachable pairs and their transition rows.
+PairWalk = tuple[list[tuple[int, int]], list[tuple[int, ...]]]
+
+
+def _measured_size(
+    d1: Dfa,
+    dN: Dfa,
+    mode: BooleanMode,
+    best: int,
+    walks: dict[int, PairWalk] | None = None,
+    key: int = 0,
+) -> int:
     """Minimal-DFA size of the pair machine of ``d1`` (a first component)
     and ``dN``, skipping object construction.
 
-    The pair machine is reachable by construction, so the refined block
-    count equals the minimised state count.  A pair machine of at most
-    ``best`` states cannot beat ``best``, so its state count, an upper bound
-    of the size, is returned without refining; ``best = -1`` always refines.
+    The pair walk depends only on the two transition tables.  A caller
+    measuring many pairs over few tables passes ``walks``, in which ``key``
+    names this pair of tables: the walk is made on the first call with that
+    key and read from ``walks`` after.  Without ``walks`` it is made afresh
+    and not kept.  The pair machine is reachable by construction, so the
+    refined block count equals the minimised state count.  A pair machine
+    of at most ``best`` states cannot beat ``best``, so its state count, an
+    upper bound of the size, is returned without refining; ``best = -1``
+    always refines.
     """
-    pairs, rows = pair_rows(d1, dN)
+    if walks is None:
+        pairs, rows = pair_rows(d1, dN)
+    else:
+        walk = walks.get(key)
+        if walk is None:
+            walk = walks[key] = pair_rows(d1, dN)
+        pairs, rows = walk
     if len(pairs) <= best:
         return len(pairs)
     finals = pair_finals(pairs, d1, dN, mode)
@@ -357,17 +381,102 @@ def _measured_size(d1: Dfa, dN: Dfa, mode: BooleanMode, best: int) -> int:
     return count
 
 
-def _classes(states: int, alphabet: Alphabet) -> tuple[list[Dfa], list[Dfa]]:
-    """Enumerate the machines on ``states`` states and group them by minimal
-    DFA as they stream past, numbering the classes by first appearance.
+def _words(states: int, sigma: int) -> list[tuple[int, ...]]:
+    """Every word of length at most ``2 * states - 2`` in length-lex order:
+    two machines of ``states`` states with different languages disagree on
+    one of them (Moore, 1956)."""
+    return [
+        w
+        for length in range(2 * states - 1)
+        for w in itertools.product(range(sigma), repeat=length)
+    ]
 
-    Only the first machine of each class is kept.  Returns the distinct keys
-    in class order and the first machine of each class, so a lower class
-    number means an earlier first machine.
+
+def _trace(delta: tuple[tuple[int, ...], ...], sigma: int, depth: int) -> bytes:
+    """The state reached from 0 by every word of length at most ``depth``
+    in length-lex order, one byte each.  Word ``j`` of one length followed
+    by letter ``a`` is word ``j * sigma + a`` of the next, so each length
+    is the last one read through every letter's column, interleaved."""
+    pad = bytes(256 - len(delta))
+    columns = [bytes(column) + pad for column in zip(*delta)]
+    level = bytearray(1)
+    levels = [level]
+    for _ in range(depth):
+        nxt = bytearray(len(level) * sigma)
+        for a, column in enumerate(columns):
+            nxt[a::sigma] = level.translate(column)
+        level = nxt
+        levels.append(level)
+    return b"".join(levels)
+
+
+def _classes(
+    states: int, alphabet: Alphabet
+) -> tuple[list[Dfa], list[Dfa], dict[bytes, int]]:
+    """Enumerate the machines on ``states`` states and group them by
+    language as they stream past, numbering the classes by first appearance.
+
+    A machine's signature is its acceptance of every word from ``_words``,
+    one byte each: the trace of its table, made once per table, read
+    through its finals.  Equal signatures mean equal languages, so only the
+    first machine of each class is kept and minimised.  Returns the minimal
+    DFAs of the classes in class order, their first machines, so a lower
+    class number means an earlier first machine, and the class of each
+    signature.
     """
-    first: dict[Dfa, Dfa] = {}
-    enumerate_dfas(states, alphabet, lambda d: first.setdefault(minimize(d), d))
-    return list(first), list(first.values())
+    sigma = len(alphabet)
+    depth = 2 * states - 2
+    number: dict[bytes, int] = {}
+    keys: list[Dfa] = []
+    first: list[Dfa] = []
+    finality: dict[frozenset[int], bytes] = {}
+    table: tuple[tuple[int, ...], ...] | None = None
+    trace = b""
+
+    def consume(d: Dfa) -> None:
+        nonlocal table, trace
+        if d.delta is not table:
+            table = d.delta
+            trace = _trace(table, sigma, depth)
+        accept = finality.get(d.finals)
+        if accept is None:
+            accept = finality[d.finals] = bytes(q in d.finals for q in range(256))
+        signature = trace.translate(accept)
+        if signature not in number:
+            number[signature] = len(keys)
+            keys.append(minimize(d))
+            first.append(d)
+
+    enumerate_dfas(states, alphabet, consume)
+    return keys, first, number
+
+
+def _letter_swaps(number: dict[bytes, int], states: int, sigma: int) -> list[list[int]]:
+    """The class each class moves to when letters ``a`` and ``a + 1`` trade
+    places, one map per ``a``; together they generate every renaming.
+
+    ``number`` is ``_classes``' class of each signature.  The renamed
+    language accepts a word iff the language accepts the word renamed, so
+    its signature is the class's own with each word's byte read at the
+    renamed word.  Both enumerations are closed under renaming letters, so
+    a signature that is not found means the classes were built wrong.
+    """
+    words = _words(states, sigma)
+    at = {w: i for i, w in enumerate(words)}
+    maps = []
+    for a in range(sigma - 1):
+        trade = {a: a + 1, a + 1: a}
+        moved = [at[tuple(trade.get(x, x) for x in w)] for w in words]
+        image = []
+        for signature in number:
+            c = number.get(bytes([signature[i] for i in moved]))
+            if c is None:
+                raise AssertionError(
+                    f"swapping letters {a} and {a + 1} leaves the enumerated classes"
+                )
+            image.append(c)
+        maps.append(image)
+    return maps
 
 
 def _size_groups(keys: list[Dfa]) -> dict[int, list[int]]:
@@ -376,6 +485,12 @@ def _size_groups(keys: list[Dfa]) -> dict[int, list[int]]:
     for c, k in enumerate(keys):
         sized.setdefault(k.state_count, []).append(c)
     return sized
+
+
+def _table_numbers(keys: list[Dfa]) -> list[int]:
+    """A number per key, equal for keys with equal transition tables."""
+    number: dict[tuple[tuple[int, ...], ...], int] = {}
+    return [number.setdefault(k.delta, len(number)) for k in keys]
 
 
 def _op_classes(
@@ -418,54 +533,35 @@ def _op_classes(
     )
 
 
-def _letter_swaps(distinct: list[Dfa]) -> list[list[int]]:
-    """The class each class moves to when letters ``a`` and ``a + 1`` trade
-    places, one map per ``a``; together they generate every renaming.
-
-    A key is a minimal DFA, and swapping two of its columns keeps it
-    minimal, so renumbering it canonically gives the key of the renamed
-    language.  Both enumerations are closed under renaming letters, so a
-    key that is not found means the classes were built wrong.
-    """
-    number = {key: c for c, key in enumerate(distinct)}
-    maps = []
-    for a in range(distinct[0].sigma - 1):
-        image = []
-        for key in distinct:
-            rows = tuple(
-                row[:a] + (row[a + 1], row[a]) + row[a + 2 :] for row in key.delta
-            )
-            renamed = relabel_canonical(
-                Dfa._trusted(key.alphabet, key.state_count, key.start, key.finals, rows)
-            )
-            c = number.get(renamed)
-            if c is None:
-                raise AssertionError(
-                    f"swapping letters {a} and {a + 1} leaves the enumerated classes"
-                )
-            image.append(c)
-        maps.append(image)
-    return maps
-
-
 def _exhaustive_walk(
     op: CombinedOp, m: int, n: int, alphabet: Alphabet, pair_budget: int
 ) -> tuple[int, tuple[Dfa, Dfa], int, int]:
     """Every pair of machines on ``m`` and ``n`` states, walked by classes:
     the best size, the earliest pair reaching it, the pairs covered and the
-    pair machines built."""
+    cells measured."""
     n_total = _side_size(n, alphabet)
     m_total = _side_size(m, alphabet)
-    n_keys, n_first = _classes(n, alphabet)
-    m_lang, m_lang_first = (n_keys, n_first) if m == n else _classes(m, alphabet)
+    sigma = len(alphabet)
+    n_keys, n_first, n_number = _classes(n, alphabet)
+    if m == n:
+        m_lang, m_lang_first, m_number = n_keys, n_first, n_number
+    else:
+        m_lang, m_lang_first, m_number = _classes(m, alphabet)
     m_keys, m_first, m_sized, op_swaps = _op_classes(m_lang, m_lang_first, op)
+    # Only the op classes read M's language keys; at m != n they go now, and
+    # the signatures go once the swap maps exist.
+    del m_lang, m_lang_first
     cells = len(m_keys) * len(n_keys)
     if cells > pair_budget:
         raise BudgetExceeded(cells, pair_budget, "class pairs")
-    n_swaps = _letter_swaps(n_keys)
-    m_swaps = op_swaps(n_swaps if m == n else _letter_swaps(m_lang))
+    n_swaps = _letter_swaps(n_number, n, sigma)
+    m_swaps = op_swaps(n_swaps if m == n else _letter_swaps(m_number, m, sigma))
+    del n_number, m_number
     swaps = list(zip(m_swaps, n_swaps))
     n_sized = _size_groups(n_keys)
+    m_table = _table_numbers(m_keys)
+    n_table = _table_numbers(n_keys)
+    walks: dict[int, dict[int, PairWalk]] = {}
     # The measured size depends only on the languages op(L(M)) and L(N),
     # so N is classed by its minimal DFA and M by the minimal DFA of its
     # first component, which is found once per language class of M; at
@@ -484,6 +580,11 @@ def _exhaustive_walk(
     # win; a cell after it cannot win a tie and gets the maximum itself.
     # A size above the kernel's bar is exact, so the lowest measured
     # cell of the largest size holds the earliest pair reaching it.
+    # Keys that differ only in their finals share a transition table, and
+    # so a pair walk: the kernel keeps one walk per pair of tables, filed
+    # under M's table.  Keys of one table have one size, so each walk is
+    # read in one group only, and the walks of an M table go after the
+    # group's last class of that table.
     boolean = op.boolean_mode
     width = len(n_keys)
     seen = bytearray(cells)
@@ -493,13 +594,20 @@ def _exhaustive_walk(
     for size_m, size_n in groups:
         if size_m * size_n < best:
             break
-        for cm in m_sized[size_m]:
+        m_group = m_sized[size_m]
+        last = {m_table[cm]: cm for cm in m_group}
+        for cm in m_group:
+            key_m = m_keys[cm]
+            table = m_table[cm]
+            shared = walks.setdefault(table, {})
             for cn in n_sized[size_n]:
                 cell = cm * width + cn
                 if seen[cell]:
                     continue
                 bar = best if cell > winner else best - 1
-                size = _measured_size(m_keys[cm], n_keys[cn], boolean, bar)
+                size = _measured_size(
+                    key_m, n_keys[cn], boolean, bar, shared, n_table[cn]
+                )
                 measured += 1
                 if size > best or (size == best and cell < winner):
                     best, winner = size, cell
@@ -512,6 +620,8 @@ def _exhaustive_walk(
                         if not seen[y]:
                             seen[y] = 1
                             orbit.append(y)
+            if last[table] == cm:
+                del walks[table]
     cm, cn = divmod(winner, width)
     return best, (m_first[cm], n_first[cn]), m_total * n_total, measured
 

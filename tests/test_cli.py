@@ -586,11 +586,13 @@ SEARCH_REPORTS = Path(__file__).resolve().parent / "data" / "search_reports.json
 
 def test_search_reports_match_the_recorded_ones(capsys):
     # JSON reports of the exhaustive searches at m = n = 2 on one to three
-    # letters and at (3,2,2) and (2,3,2), where M and N are enumerated and
-    # classed apart, and of sampled searches at (4,3,3), 1,000 samples, seeds
-    # 0-2, all four ops: the output must stay the same byte for byte
+    # letters, at (3,2,2) and (2,3,2), where M and N are enumerated and
+    # classed apart, and at (3,3,2) and (2,2,4), where many cells share a
+    # pair of key tables, and of sampled searches at (4,3,3), 1,000 samples,
+    # seeds 0-2, all four ops: the output must stay the same byte for byte.
+    # The (3,3,2) maxima 16, 16, 22, 22 are the σ=2 frontier at m = n = 3.
     cases = json.loads(SEARCH_REPORTS.read_text())
-    assert len(cases) == 32
+    assert len(cases) == 40
     for case in cases:
         code, out, err = run(capsys, *case["command"].split())
         assert (code, err) == (case["exit"], ""), case["command"]

@@ -34,6 +34,7 @@ from sclab import (
     table_filling_minimize,
 )
 from sclab import oracle
+from sclab.constructions import pair_rows
 from sclab.core import reachable
 from sclab.minimization import _refine
 from sclab.oracle import _measured_size, _random_finals, _random_rows
@@ -648,8 +649,8 @@ def test_exhaustive_sizes_that_reach_the_maximum_are_exact(monkeypatch, op):
     # pair that only seems to win
     calls = []
 
-    def recording(d1, dN, mode, best):
-        size = _measured_size(d1, dN, mode, best)
+    def recording(d1, dN, mode, best, *walk):
+        size = _measured_size(d1, dN, mode, best, *walk)
         calls.append((d1, dN, best, size))
         return size
 
@@ -662,6 +663,32 @@ def test_exhaustive_sizes_that_reach_the_maximum_are_exact(monkeypatch, op):
             assert size == exact, (d1, dN, best)
         else:
             assert exact <= size <= best, (d1, dN, best)
+
+
+@pytest.mark.parametrize(
+    "op, measured, walked",
+    [
+        (CombinedOp.STAR_UNION, 248, 124),
+        (CombinedOp.STAR_INTERSECTION, 248, 124),
+        (CombinedOp.REVERSAL_UNION, 1216, 304),
+        (CombinedOp.REVERSAL_INTERSECTION, 1216, 304),
+    ],
+)
+def test_exhaustive_kernel_walks_each_pair_of_key_tables_once(
+    monkeypatch, op, measured, walked
+):
+    # keys that differ only in their finals share a transition table, so
+    # the cells measured share fewer pair walks, each made once per search
+    tables = []
+
+    def counting(d1, d2):
+        tables.append((d1.delta, d2.delta))
+        return pair_rows(d1, d2)
+
+    monkeypatch.setattr(oracle, "pair_rows", counting)
+    report = search_max(op, 2, 2, STAR_ALPHABET, SearchMode.exhaustive())
+    assert report.pairs_measured == measured
+    assert len(tables) == len(set(tables)) == walked
 
 
 @pytest.mark.parametrize(
@@ -712,8 +739,8 @@ def test_exhaustive_kernel_bar_admits_ties_only_before_the_winner(
         first_n.setdefault(minimize(d), i)
     calls = []
 
-    def recording(d1, dN, mode, best):
-        size = _measured_size(d1, dN, mode, best)
+    def recording(d1, dN, mode, best, *walk):
+        size = _measured_size(d1, dN, mode, best, *walk)
         calls.append(((first_m[d1], first_n[dN]), best, size))
         return size
 
@@ -749,9 +776,9 @@ def test_each_orbit_is_measured_at_its_earliest_pair(monkeypatch, op):
         first_n.setdefault(minimize(d), i)
     calls = []
 
-    def recording(d1, dN, mode, best):
+    def recording(d1, dN, mode, best, *walk):
         calls.append((d1, dN))
-        return _measured_size(d1, dN, mode, best)
+        return _measured_size(d1, dN, mode, best, *walk)
 
     monkeypatch.setattr(oracle, "_measured_size", recording)
     report = search_max(op, 2, 2, STAR_ALPHABET, SearchMode.exhaustive())
@@ -778,11 +805,11 @@ def _alive_at_first_kernel_call(monkeypatch, op, m, n, alphabet):
 
     alive = []
 
-    def counting(d1, dN, mode, best):
+    def counting(d1, dN, mode, best, *walk):
         if not alive:
             gc.collect()
             alive.append([ref() for ref in fed if ref() is not None])
-        return _measured_size(d1, dN, mode, best)
+        return _measured_size(d1, dN, mode, best, *walk)
 
     monkeypatch.setattr(oracle, "enumerate_dfas", tracking)
     monkeypatch.setattr(oracle, "_measured_size", counting)
@@ -816,6 +843,70 @@ def test_exhaustive_search_at_m_not_n_keeps_each_sides_language_firsts(monkeypat
     assert len(alive) <= len(_language_firsts(3, AB)) + len(_language_firsts(2, AB))
 
 
+def swaps_by_relabeling(keys):
+    """The letter-swap maps of ``oracle._letter_swaps``, found from the keys
+    instead of the signatures: swapping two columns of a minimal DFA keeps it
+    minimal, so renumbering it canonically gives the renamed language's
+    key."""
+    number = {key: c for c, key in enumerate(keys)}
+    sigma = keys[0].sigma
+    trade = [list(range(sigma)) for _ in range(sigma - 1)]
+    for a, perm in enumerate(trade):
+        perm[a], perm[a + 1] = a + 1, a
+    return [[number[renamed(key, perm)] for key in keys] for perm in trade]
+
+
+def classes_by_minimize(states, alphabet):
+    """``oracle._classes``' keys and first machines, found by minimising
+    every enumerated machine."""
+    first = {}
+    enumerate_dfas(states, alphabet, lambda d: first.setdefault(minimize(d), d))
+    return list(first), list(first.values())
+
+
+SMALL_SPACES = [(m, sigma) for m in (1, 2, 3) for sigma in (1, 2)] + [(1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("m, sigma", SMALL_SPACES)
+def test_signature_classes_match_classing_every_machine_by_minimize(m, sigma):
+    # words of length at most 2m - 2 tell apart any two m-state machines
+    # with different languages, so equal signatures mean one class: the
+    # same partition, numbering, first machines and keys as minimising
+    # every machine
+    alphabet = Alphabet(("a", "b", "c")[:sigma])
+    keys, firsts, number = oracle._classes(m, alphabet)
+    assert (keys, firsts) == classes_by_minimize(m, alphabet)
+    assert list(number.values()) == list(range(len(keys)))
+    words = oracle._words(m, sigma)
+    for signature, first in zip(number, firsts):
+        assert signature == bytes(dfa_accepts(first, w) for w in words)
+    assert oracle._letter_swaps(number, m, sigma) == swaps_by_relabeling(keys)
+
+
+def signature(d, depth):
+    """``d``'s acceptance of every word of length at most ``depth``, as
+    ``oracle._classes`` reads it at depth 2m - 2."""
+    accept = bytes(q in d.finals for q in range(256))
+    return oracle._trace(d.delta, d.sigma, depth).translate(accept)
+
+
+def test_signatures_one_letter_shorter_merge_two_languages():
+    # at m = 2 on one letter, 0 -> 1 -> 1 and 0 -> 1 -> 0 with finals {1}
+    # accept a+ and the odd lengths; they agree on every word of length at
+    # most 2m - 3 = 1 and first differ on aa
+    plus = Dfa(A1, 2, 0, {1}, ((1,), (1,)))
+    odd = Dfa(A1, 2, 0, {1}, ((1,), (0,)))
+    assert signature(plus, 1) == signature(odd, 1) == bytes([0, 1])
+    assert signature(plus, 2) != signature(odd, 2)
+    assert dfa_accepts(plus, (0, 0)) and not dfa_accepts(odd, (0, 0))
+    # over the whole space, depth 1 has fewer classes than the languages
+    machines = []
+    enumerate_dfas(2, A1, machines.append)
+    languages = len(classes_by_minimize(2, A1)[0])
+    assert len({signature(d, 2) for d in machines}) == languages
+    assert len({signature(d, 1) for d in machines}) < languages
+
+
 @pytest.mark.parametrize("op", list(CombinedOp))
 @pytest.mark.parametrize("m, sigma", [(2, 1), (2, 2), (2, 3), (3, 2)])
 def test_op_classes_match_classing_each_machine_by_op(op, m, sigma):
@@ -832,13 +923,14 @@ def test_op_classes_match_classing_each_machine_by_op(op, m, sigma):
     sized = {}
     for c, key in enumerate(keys):
         sized.setdefault(key.state_count, []).append(c)
-    lang_keys, lang_first = oracle._classes(m, alphabet)
+    lang_keys, lang_first, number = oracle._classes(m, alphabet)
     op_keys, op_first, op_sized, op_swaps = oracle._op_classes(lang_keys, lang_first, op)
     assert count == dfa_space_size(m, alphabet)
     assert op_keys == keys
     assert op_first == list(first.values())
     assert op_sized == sized
-    assert op_swaps(oracle._letter_swaps(lang_keys)) == oracle._letter_swaps(keys)
+    lang_swaps = oracle._letter_swaps(number, m, sigma)
+    assert op_swaps(lang_swaps) == swaps_by_relabeling(keys)
 
 
 REVERSAL_OPS = [CombinedOp.REVERSAL_UNION, CombinedOp.REVERSAL_INTERSECTION]
@@ -852,7 +944,7 @@ def test_reversal_walks_of_language_keys_are_minimal(m, sigma):
     # DFA is minimal.  Language keys have no unreachable state, so
     # _op_classes takes their reversal walks as op keys without minimising
     alphabet = Alphabet(("a", "b", "c")[:sigma])
-    keys, _ = oracle._classes(m, alphabet)
+    keys, _, _ = oracle._classes(m, alphabet)
     for key in keys:
         for op in REVERSAL_OPS:
             walk = first_component(key, op).dfa
@@ -874,7 +966,7 @@ def test_reversal_walks_need_not_be_minimal_with_unreachable_states():
 
 
 def test_exhaustive_budget_is_checked_before_any_swap_map(monkeypatch):
-    def refused(keys):
+    def refused(*args):
         raise AssertionError("built a swap map")
 
     monkeypatch.setattr(oracle, "_letter_swaps", refused)
