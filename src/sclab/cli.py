@@ -11,8 +11,10 @@ checks only what the command line alone knows (flags, ranges, files, caps).
 Exit status: 0 on success (bound matched or held), 1 on a mismatch or bound
 violation, 2 when ``main`` catches a ``ValueError`` (the library's domain
 checks, ``InvalidDfa``, ``AlphabetMismatch``, ``ParseError``,
-``BudgetExceeded``, ``UsageError``).  Nothing else maps an error to 2, so
-an internal fault propagates with its traceback.
+``BudgetExceeded``, ``UsageError``), and 141, the shell's status for
+SIGPIPE, when stdout is closed before the output is written (as by
+``| head``).  Nothing else maps an error to a status, so an internal fault
+propagates with its traceback.
 Output is deterministic for fixed arguments except for ``elapsed_ms``.
 """
 
@@ -50,6 +52,7 @@ from .witnesses import (
 )
 
 BUDGET_ENV_VAR = "SCLAB_PAIR_BUDGET"
+BROKEN_PIPE_STATUS = 141
 SWEEP_MAX_M = 12
 SWEEP_MAX_N = 8
 
@@ -350,10 +353,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         "search": _cmd_search,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader has gone.  Stdout now writes to the null device, so
+        # that the flush at exit does not raise again.
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return BROKEN_PIPE_STATUS
 
 
 if __name__ == "__main__":

@@ -346,6 +346,18 @@ class SearchReport:
 PairWalk = tuple[list[tuple[int, int]], list[tuple[int, ...]]]
 
 
+def _sinks(d: Dfa, mode: BooleanMode) -> set[int]:
+    """The states of ``d`` that loop on every letter and whose language is
+    absorbing for ``mode``: final for union, non-final for intersection."""
+    final = mode == "union"
+    finals = d.finals
+    return {
+        q
+        for q, row in enumerate(d.delta)
+        if (q in finals) == final and row.count(q) == len(row)
+    }
+
+
 def _measured_size(
     d1: Dfa,
     dN: Dfa,
@@ -362,10 +374,20 @@ def _measured_size(
     names this pair of tables: the walk is made on the first call with that
     key and read from ``walks`` after.  Without ``walks`` it is made afresh
     and not kept.  The pair machine is reachable by construction, so the
-    refined block count equals the minimised state count.  A pair machine
-    of at most ``best`` states cannot beat ``best``, so its state count, an
-    upper bound of the size, is returned without refining; ``best = -1``
-    always refines.
+    refined block count equals the minimised state count.  A machine that
+    cannot beat ``best`` is not refined; an upper bound of its size is
+    returned instead, and ``best = -1`` always refines.  Two bounds are
+    tried, the pair count and then the sink bound.  An absorbing sink of
+    either machine for ``mode``, a final state looping on every letter for
+    union or a non-final one for intersection, fixes the language of every
+    pair on it: every word for union, none for intersection.  So the u
+    reachable pairs with a sink on either side are one state of the minimal
+    DFA, which has at most ``len(pairs) - u + 1`` states.  This is the
+    collapse behind the paper's reversal bound: a full reversal walk holds
+    the whole state set, a final sink, and the empty set, a non-final one,
+    so of its ``2**m * n`` pairs the n on the op's sink make one state,
+    ``2**m * n - (n - 1)``.  A machine that is not minimal, as a sampled
+    first component or N may be, can have several sinks.
     """
     if walks is None:
         pairs, rows = pair_rows(d1, dN)
@@ -376,6 +398,12 @@ def _measured_size(
         pairs, rows = walk
     if len(pairs) <= best:
         return len(pairs)
+    sinks1 = _sinks(d1, mode)
+    sinksN = _sinks(dN, mode)
+    if sinks1 or sinksN:
+        bound = len(pairs) + 1 - sum(i in sinks1 or j in sinksN for i, j in pairs)
+        if bound <= best:
+            return bound
     finals = pair_finals(pairs, d1, dN, mode)
     _, count = _refine(len(pairs), rows, finals)
     return count
@@ -578,8 +606,11 @@ def _exhaustive_walk(
     # by first appearance.  A cell before the running winner gets the
     # running maximum minus one, so a tie there is exact and takes the
     # win; a cell after it cannot win a tie and gets the maximum itself.
-    # A size above the kernel's bar is exact, so the lowest measured
-    # cell of the largest size holds the earliest pair reaching it.
+    # The kernel refines only a cell that can pass its bar: its pair count
+    # and its sink bound (the pairs on an absorbing sink are one state)
+    # both stand in for the size at or below the bar.  A size above the
+    # bar is exact, so the lowest measured cell of the largest size holds
+    # the earliest pair reaching it.
     # Keys that differ only in their finals share a transition table, and
     # so a pair walk: the kernel keeps one walk per pair of tables, filed
     # under M's table.  Keys of one table have one size, so each walk is

@@ -1,10 +1,10 @@
-"""Acceptance checklist: ten checks, one printed PASS/FAIL line each.
+"""Acceptance checklist: eleven checks, one printed PASS/FAIL line each.
 
 The grids mirror the experiment scripts: star ops on (m, n) in [2,8]^2,
 reversal ops on [2,10]x[2,6], individual anchors, random upper-bound
 sampling, exhaustive two-state maxima, minimiser cross-validation, word
-oracles, and the structural merging/unreachability facts.  Each check also
-asserts its own runtime budget.
+oracles, the structural merging/unreachability facts, and the exhaustive
+maxima on two letters.  Each check also asserts its own runtime budget.
 """
 
 import time
@@ -39,6 +39,7 @@ from sclab.witnesses import (
     star_witness_m,
     star_witness_n,
     star_witness_n_intersection,
+    tight_bound,
     witness_pair,
 )
 
@@ -295,4 +296,45 @@ def test_10_merging_and_unreachability_structure(capsys):
     _report(
         capsys, 10, "merging and unreachability structure", ok, elapsed,
         f"problems={problems[:4]}",
+    )
+
+
+# exhaustive maxima on two letters, per (m, n), for star-union,
+# star-intersection, reversal-union and reversal-intersection
+BINARY_FRONTIER = {
+    (2, 2): (4, 5, 6, 6),
+    (2, 3): (6, 7, 10, 10),
+    (3, 2): (11, 11, 15, 15),
+    (3, 3): (16, 16, 22, 22),
+}
+# each maximum's distance from tight_bound: at m = 2, binary star-union is
+# one short, and binary reversal is one short at even n
+BINARY_GAP = {
+    (2, 2): (-1, 0, -1, -1),
+    (2, 3): (-1, 0, 0, 0),
+    (3, 2): (0, 0, 0, 0),
+    (3, 3): (0, 0, 0, 0),
+}
+
+
+def test_11_binary_frontier(capsys):
+    t0 = time.perf_counter()
+    bad = []
+    ops = (
+        CombinedOp.STAR_UNION,
+        CombinedOp.STAR_INTERSECTION,
+        CombinedOp.REVERSAL_UNION,
+        CombinedOp.REVERSAL_INTERSECTION,
+    )
+    alphabet = Alphabet(("a", "b"))
+    for (m, n), maxima in BINARY_FRONTIER.items():
+        for op, want, gap in zip(ops, maxima, BINARY_GAP[m, n]):
+            got = search_max(op, m, n, alphabet, SearchMode.exhaustive()).observed_max
+            if got != want or got - tight_bound(op, m, n) != gap:
+                bad.append((op.value, m, n, got, tight_bound(op, m, n)))
+    elapsed = time.perf_counter() - t0
+    ok = not bad and elapsed < 60.0
+    _report(
+        capsys, 11, "exhaustive maxima on two letters, m, n in {2, 3}", ok, elapsed,
+        str(bad),
     )

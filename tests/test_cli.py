@@ -365,6 +365,67 @@ def test_python_dash_m_runs_the_cli():
     assert bad.returncode == 2
 
 
+class ClosedPipe:
+    """A stdout whose reader has gone: ``write`` or ``flush`` raises, as a
+    pipe does once ``head`` has exited, on the file descriptor ``fd``."""
+
+    def __init__(self, fd, raises):
+        self.fd = fd
+        self.raises = raises
+
+    def write(self, text):
+        if self.raises == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.raises == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("raises", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "star-union", "--m", "2..3", "--n", "2"),
+        ("search", "star-union", "--m", "2", "--n", "2", "--sigma", "1", "--exhaustive"),
+    ],
+)
+def test_a_closed_stdout_exits_141_and_writes_nowhere_after(
+    tmp_path, monkeypatch, capsys, argv, raises
+):
+    # exit 1 means the measurement disagrees, so a reader that stops early
+    # gets the shell's SIGPIPE status instead, and stdout is pointed at the
+    # null device so that the flush at exit cannot raise again
+    with open(tmp_path / "out", "w") as out:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(out.fileno(), raises))
+        assert main(list(argv)) == cli.BROKEN_PIPE_STATUS == 141
+        assert os.path.samestat(os.fstat(out.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
+def test_a_pipe_closed_before_the_output_ends_quietly():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": str(src) + (os.pathsep + path if path else "")}
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "sclab", "sweep", "star-union", "--m", "2..3", "--n", "2"]
+    # the read end is closed before the child starts, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            argv, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
+
+
 def test_sweep_determinism_modulo_timing(capsys):
     argv = ("sweep", "star-union", "--m", "2..4", "--n", "2..3")
     _, out1, _ = run(capsys, *argv)

@@ -692,17 +692,22 @@ def test_exhaustive_kernel_walks_each_pair_of_key_tables_once(
 
 
 @pytest.mark.parametrize(
-    "op, refined",
+    "op, m, sigma, refined",
     [
-        (CombinedOp.STAR_UNION, 8),
-        (CombinedOp.STAR_INTERSECTION, 2),
-        (CombinedOp.REVERSAL_UNION, 512),
-        (CombinedOp.REVERSAL_INTERSECTION, 462),
+        (CombinedOp.STAR_UNION, 2, 3, 8),
+        (CombinedOp.STAR_INTERSECTION, 2, 3, 2),
+        (CombinedOp.REVERSAL_UNION, 2, 3, 17),
+        (CombinedOp.REVERSAL_INTERSECTION, 2, 3, 3),
+        (CombinedOp.REVERSAL_UNION, 3, 2, 11),
+        (CombinedOp.REVERSAL_INTERSECTION, 3, 2, 11),
     ],
 )
-def test_exhaustive_kernel_refines_only_cells_that_can_win(monkeypatch, op, refined):
+def test_exhaustive_kernel_refines_only_cells_that_can_win(
+    monkeypatch, op, m, sigma, refined
+):
     # a cell after the running winner cannot win on a tie, so only a pair
-    # machine larger than the maximum is refined there
+    # machine whose pair count and sink bound both exceed the maximum is
+    # refined there
     calls = []
 
     def counting(n, rows, finals):
@@ -710,7 +715,8 @@ def test_exhaustive_kernel_refines_only_cells_that_can_win(monkeypatch, op, refi
         return _refine(n, rows, finals)
 
     monkeypatch.setattr(oracle, "_refine", counting)
-    search_max(op, 2, 2, STAR_ALPHABET, SearchMode.exhaustive())
+    alphabet = Alphabet(("a", "b", "c")[:sigma])
+    search_max(op, m, m, alphabet, SearchMode.exhaustive())
     assert len(calls) == refined
 
 
@@ -1052,6 +1058,54 @@ def test_measured_size_is_exact_above_best_and_bounded_below(op):
                         assert size == exact, (dM, dN, best)
                     else:
                         assert size <= best, (dM, dN, best)
+
+
+def two_sinks(rows, loops, absorbing, mode, finals):
+    """A machine on AB whose states ``loops`` loop on both letters and are
+    final iff they absorb for ``mode`` (``absorbing``) or, as decoys, iff
+    they do not; ``finals`` are its other finals."""
+    final = (mode == "union") == absorbing
+    rows = rows + [(q, q) for q in loops]
+    return mkdfa(AB, rows, set(finals) | (set(loops) if final else set()))
+
+
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("sides", ["M", "N", "MN"])
+@pytest.mark.parametrize("mode", ["union", "intersection"])
+def test_sink_bound_stands_in_for_refining(monkeypatch, mode, sides, shared):
+    # several sinks per machine, as a non-minimal first component or a
+    # random N machine has: every reachable pair with a sink on either side
+    # accepts one language, so the kernel may return the bound
+    # len(pairs) - u + 1 in place of refining, and must when it is <= best;
+    # the same with the walk kept, as exhaustive mode calls the kernel, and
+    # made afresh, as sampled mode does
+    absorbing_m, absorbing_n = "M" in sides, "N" in sides
+    d1 = two_sinks([(4, 1), (2, 0), (3, 4)], (3, 4), absorbing_m, mode, {1})
+    dN = two_sinks([(3, 1), (2, 0)], (2, 3), absorbing_n, mode, {1})
+    sinks1 = {3, 4} if absorbing_m else set()
+    sinksN = {2, 3} if absorbing_n else set()
+    pairs, _ = pair_rows(d1, dN)
+    u = sum(i in sinks1 or j in sinksN for i, j in pairs)
+    bound = len(pairs) - u + 1
+    exact = table_filling_minimize(product(d1, dN, mode).dfa).state_count
+    assert {3, 4} <= {i for i, _ in pairs} and {2, 3} <= {j for _, j in pairs}
+    assert u >= 2 and exact <= bound < len(pairs)
+    calls = []
+
+    def counting(n, rows, finals):
+        calls.append(n)
+        return _refine(n, rows, finals)
+
+    monkeypatch.setattr(oracle, "_refine", counting)
+    walks = ({},) if shared else ()
+    for best in (-1, exact - 1, exact, bound):
+        calls.clear()
+        size = _measured_size(d1, dN, mode, best, *walks)
+        if exact > best:
+            assert size == exact, best
+        else:
+            assert exact <= size <= best, best
+        assert bool(calls) == (bound > best), best
 
 
 @pytest.mark.parametrize("op", list(CombinedOp))
