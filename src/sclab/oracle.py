@@ -46,8 +46,8 @@ def _mix(z: int) -> int:
 
 
 class BudgetExceeded(ValueError):
-    """A search would enumerate more machines, or build more pair machines,
-    than its budget allows."""
+    """A search would enumerate more machines, build more pair machines, or
+    walk more subsets per sample than its budget allows."""
 
     def __init__(self, needed: int, budget: int, what: str = "machines"):
         # Python will not write an integer of over 4,300 digits in decimal.
@@ -657,11 +657,31 @@ def _exhaustive_walk(
     return best, (m_first[cm], n_first[cn]), m_total * n_total, measured
 
 
+def _shape_bound(op: CombinedOp, m: int, n: int, w: int) -> int:
+    """An upper bound on the minimal pair machine of a ``w``-state first
+    component of an ``m``-state M and an ``n``-state N, from the walk's
+    shape alone; it never falls as ``w`` grows.  The star walk's fresh start
+    is never re-entered, as no subset it reaches holds the fresh bit, so it
+    pairs only with N's start: ``(w - 1) * n + 1``.  A reversal walk of all
+    ``2**m`` subsets holds the whole set, a final self-loop, and the empty
+    set, a non-final one, so the n pairs on the op's absorbing sink are one
+    state: ``(w - 1) * n + 1`` again.  Any other walk has at most ``w * n``
+    pairs."""
+    if op.uses_star or w == 1 << m:
+        return (w - 1) * n + 1
+    return w * n
+
+
 def _sampled_walk(
     op: CombinedOp, m: int, n: int, alphabet: Alphabet, mode: SearchMode
 ) -> tuple[int, tuple[Dfa, Dfa], int, int]:
     """``mode.samples`` seeded random pairs: the best size, the earliest
-    sample reaching it, the pairs covered and the pair machines built."""
+    sample reaching it, the pairs covered and the pair machines built.
+
+    A sample is built only as far as ``_shape_bound`` lets it pass the
+    running maximum: first with the cap of M's finals, which are read
+    before M's rows are drawn, and then with the walk's state count, which
+    is known before its table is built or N is drawn."""
     boolean = op.boolean_mode
     rng = SplitMix64(mode.seed)
     sigma = len(alphabet)
@@ -672,18 +692,17 @@ def _sampled_walk(
     for _ in range(mode.samples):
         m_seed = rng.next_uint64()
         n_seed = rng.next_uint64()
-        # The pair machine has at most |first| * n states, and |first| is
-        # at most the cap of M's finals, which are read before M is built,
-        # and is known from the walk before its table is.  A pair whose
-        # bound cannot pass the running maximum is built no further.  Both
-        # seeds are drawn either way, so the sample stream and the
+        # The bound never falls as the walk grows, and the walk has at most
+        # the cap's states, so a sample refused on its cap would be refused
+        # on its walk.  A refused sample cannot pass the running maximum,
+        # and both seeds are drawn either way, so the sample stream and the
         # achieving pair do not depend on this pruning.
         finals = _random_finals(m, sigma, m_seed)
-        if first_component_cap(op, m, finals) * n <= best:
+        if _shape_bound(op, m, n, first_component_cap(op, m, finals)) <= best:
             continue
         dM = Dfa._trusted(alphabet, m, 0, finals, _random_rows(m, sigma, m_seed))
         walk = first_component(dM, op)
-        if walk.state_count * n > best:
+        if _shape_bound(op, m, n, walk.state_count) > best:
             dN = random_dfa(n, alphabet, n_seed)
             size = _measured_size(walk.dfa, dN, boolean, best)
             measured += 1
@@ -710,9 +729,16 @@ def search_max(
     Exhaustive mode refuses either side over ``DEFAULT_MACHINE_BUDGET``
     machines first, enumerates each side size once, classes it by language,
     classes M's language classes by ``op``, and checks the budget before it
-    builds any letter-swap map.  Over a budget, ``BudgetExceeded`` is raised.
-    Sampled mode measures a pair only if a bound on its size, from M's
-    finals and then from M's first component, can pass the running maximum.
+    builds any letter-swap map.  Sampled mode refuses an M whose first
+    component could walk more than ``DEFAULT_MACHINE_BUDGET`` subsets, that
+    is ``2**m``, before it draws any sample.  Over a budget,
+    ``BudgetExceeded`` is raised.  Sampled mode measures a pair only if a
+    bound on its size can pass the running maximum: ``(w - 1) * n + 1`` for
+    a star walk of w states, whose fresh start pairs only with N's start,
+    and for a reversal walk of all ``2**m`` subsets, whose pairs on the op's
+    sink are one state, and ``w * n`` for any other walk.  It is checked
+    with w the most states M's finals allow, before M's rows are drawn, and
+    then with w the walk's size, before N is drawn.
     Deterministic for fixed arguments; ties go to the earliest pair, and the
     winner is re-measured through the public pipeline before reporting.
     Arguments of the wrong type or range raise ``ValueError``.
@@ -728,6 +754,10 @@ def search_max(
     # An exhaustive mode has no samples, so this refuses sampled ones only.
     if mode.samples > pair_budget:
         raise BudgetExceeded(mode.samples, pair_budget, "pairs")
+    # 2**m > DEFAULT_MACHINE_BUDGET: a first component walks up to 2**m
+    # subsets per sample.
+    if mode.kind == "sampled" and m >= DEFAULT_MACHINE_BUDGET.bit_length():
+        raise BudgetExceeded(1 << m, DEFAULT_MACHINE_BUDGET, "subsets per sample")
     predicted = tight_bound(op, m, n)
     if mode.kind == "exhaustive":
         walk = _exhaustive_walk(op, m, n, alphabet, pair_budget)

@@ -34,10 +34,10 @@ from sclab import (
     table_filling_minimize,
 )
 from sclab import oracle
-from sclab.constructions import pair_rows
+from sclab.constructions import first_component_cap, pair_rows
 from sclab.core import reachable
 from sclab.minimization import _refine
-from sclab.oracle import _measured_size, _random_finals, _random_rows
+from sclab.oracle import _measured_size, _random_finals, _random_rows, _shape_bound
 from sclab.witnesses import (
     STAR_ALPHABET,
     reversal_witness_m,
@@ -1005,22 +1005,59 @@ def test_search_kernel_agrees_with_both_minimisers(op):
                     assert kernel == pipeline == oracle.state_count, (dM, dN)
 
 
+def walk_shape(first, op):
+    """Whether an edge of the built first-component walk ``first`` enters
+    its state 0, and whether it has an absorbing sink for ``op``: a state
+    looping on every letter, final for union and non-final for
+    intersection."""
+    entered = any(0 in row for row in first.delta)
+    final = op.boolean_mode == "union"
+    sink = any(
+        set(row) == {q} and (q in first.finals) == final
+        for q, row in enumerate(first.delta)
+    )
+    return entered, sink
+
+
 def unpruned_search(op, m, n, alphabet, samples, seed):
     """The sampled search without any pruning: every pair of the stream is
     measured through the public pipeline, and the first strict maximum
-    wins.  Also counts the pairs the documented rule measures: those whose
-    first component times ``n`` passes the running maximum."""
+    wins.  Also counts the pairs the documented rule measures, whose bound
+    passes the running maximum, with the bound read off the built walk of
+    w states: ``(w - 1) * n + 1`` for a star walk whose state 0 no edge
+    enters and for a reversal walk of all ``2**m`` subsets with an absorbing
+    sink, and ``w * n`` otherwise; and the pairs the older rule, ``w * n``
+    alone, measured."""
     rng = SplitMix64(seed)
-    best, best_pair, measured = -1, None, 0
+    best, best_pair, measured, measured_before = -1, None, 0, 0
     for _ in range(samples):
         dM = random_dfa(m, alphabet, rng.next_uint64())
         dN = random_dfa(n, alphabet, rng.next_uint64())
-        if first_component(dM, op).dfa.state_count * n > best:
-            measured += 1
+        first = first_component(dM, op).dfa
+        w = first.state_count
+        entered, sink = walk_shape(first, op)
+        collapses = not entered if op.uses_star else w == 2**m and sink
+        measured += (w - 1) * n + 1 > best if collapses else w * n > best
+        measured_before += w * n > best
         size = state_complexity(dM, dN, op)
         if size > best:
             best, best_pair = size, (dM, dN)
-    return best, best_pair, samples, measured
+    return best, best_pair, samples, measured, measured_before
+
+
+def matches_unpruned(op, m, n, alphabet, samples, seed):
+    """Assert that the sampled search reports what the unpruned loop finds
+    and measures the pairs the documented rule names, never more than the
+    older rule did; return both counts."""
+    report = search_max(op, m, n, alphabet, SearchMode.sampled(samples, seed))
+    best, best_pair, examined, measured, measured_before = unpruned_search(
+        op, m, n, alphabet, samples, seed
+    )
+    assert report.observed_max == best
+    assert report.achieving_pair == best_pair
+    assert report.machines_examined == examined
+    assert report.pairs_measured == measured <= measured_before
+    return measured, measured_before
 
 
 @pytest.mark.parametrize("sigma", [1, 2, 3])
@@ -1029,15 +1066,86 @@ def test_sampled_search_matches_the_unpruned_loop(op, sigma):
     alphabet = Alphabet(("a", "b", "c")[:sigma])
     for m, n in ((2, 2), (3, 2), (4, 3), (5, 3)):
         for seed in (0, 7, 0xFFFF_FFFF_FFFF_FFFF):
-            mode = SearchMode.sampled(60, seed)
-            report = search_max(op, m, n, alphabet, mode)
-            best, best_pair, examined, measured = unpruned_search(
-                op, m, n, alphabet, 60, seed
-            )
-            assert report.observed_max == best
-            assert report.achieving_pair == best_pair
-            assert report.machines_examined == examined
-            assert report.pairs_measured == measured
+            matches_unpruned(op, m, n, alphabet, 60, seed)
+
+
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_sampled_search_matches_the_unpruned_loop_on_long_streams(op):
+    # 400 samples reach the running maximum early, so the shape bound, not
+    # only the walk's size, refuses most of the later samples
+    measured, measured_before = matches_unpruned(op, 3, 2, AB, 400, 5)
+    assert measured < measured_before
+
+
+def check_shape_bound(op, dM, partners):
+    """Assert the premises of ``_shape_bound`` on the built walk of ``dM``,
+    and that the bound, at the cap of ``dM``'s finals and at the walk's
+    size, is at least the exact size of the pair machine of ``dM`` with
+    each machine of ``partners``."""
+    m = dM.state_count
+    walk = first_component(dM, op)
+    entered, sink = walk_shape(walk.dfa, op)
+    if op.uses_star:
+        assert not entered, dM
+    elif walk.state_count == 1 << m:
+        assert sink, dM
+    cap = first_component_cap(op, m, dM.finals)
+    for dN in partners:
+        n = dN.state_count
+        exact = table_filling_minimize(combined(dM, dN, op).dfa).state_count
+        assert exact <= _shape_bound(op, m, n, walk.state_count), (dM, dN)
+        assert exact <= _shape_bound(op, m, n, cap), (dM, dN)
+
+
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_shape_bound_holds_on_every_pair_at_m_n_2(op):
+    for sigma in (1, 2):
+        machines = []
+        enumerate_dfas(2, Alphabet(("a", "b")[:sigma]), machines.append)
+        for dM in machines:
+            check_shape_bound(op, dM, machines)
+
+
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_shape_bound_holds_on_random_pairs(op):
+    rng = SplitMix64(0x5A4E)
+    for sigma, m, n in itertools.product((1, 2, 3), (2, 3, 4, 5), (2, 3, 4)):
+        alphabet = Alphabet(("a", "b", "c")[:sigma])
+        for _ in range(8):
+            dM = random_dfa(m, alphabet, rng.next_uint64())
+            check_shape_bound(op, dM, [random_dfa(n, alphabet, rng.next_uint64())])
+
+
+def no_draws(monkeypatch):
+    """Make every draw of the sampled search's random stream fail."""
+
+    def draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    for name in ("SplitMix64", "random_dfa", "_random_finals", "_random_rows"):
+        monkeypatch.setattr(oracle, name, draw)
+
+
+def test_sampled_search_refuses_2_to_the_m_subsets_before_drawing(monkeypatch):
+    # a first component walks up to 2**m subsets per sample; over the
+    # machine budget the search is refused before any sample is drawn
+    no_draws(monkeypatch)
+    mode = SearchMode.sampled(5, 1)
+    start = time.perf_counter()
+    for op, m in itertools.product(CombinedOp, (22, 10**6)):
+        with pytest.raises(BudgetExceeded, match="subsets per sample") as err:
+            search_max(op, m, 2, AB, mode)
+        assert err.value.needed == 1 << m
+        assert err.value.budget == DEFAULT_MACHINE_BUDGET
+    assert time.perf_counter() - start < 1
+    # the refusal starts just past the budget: at a budget of 8 subsets,
+    # m = 3 is drawn and m = 4 is not
+    monkeypatch.setattr(oracle, "DEFAULT_MACHINE_BUDGET", 8)
+    with pytest.raises(BudgetExceeded) as err:
+        search_max(CombinedOp.REVERSAL_UNION, 4, 2, AB, mode)
+    assert (err.value.needed, err.value.budget) == (16, 8)
+    with pytest.raises(AssertionError, match="a sample was drawn"):
+        search_max(CombinedOp.REVERSAL_UNION, 3, 2, AB, mode)
 
 
 @pytest.mark.parametrize("op", list(CombinedOp))
