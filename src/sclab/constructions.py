@@ -23,15 +23,14 @@ class CombinedOp(Enum):
     REVERSAL_UNION = "reversal-union"
     REVERSAL_INTERSECTION = "reversal-intersection"
 
-    @property
-    def uses_star(self) -> bool:
-        return self in (CombinedOp.STAR_UNION, CombinedOp.STAR_INTERSECTION)
+    uses_star: bool
+    boolean_mode: BooleanMode
 
-    @property
-    def boolean_mode(self) -> BooleanMode:
-        if self in (CombinedOp.STAR_UNION, CombinedOp.REVERSAL_UNION):
-            return "union"
-        return "intersection"
+    def __init__(self, value: str) -> None:
+        # Set once per member, so that a read is an attribute lookup: the
+        # search loops read these per sample.
+        self.uses_star = value.startswith("star")
+        self.boolean_mode = "union" if value.endswith("union") else "intersection"
 
 
 def _check_op(op: object) -> None:

@@ -47,15 +47,37 @@ def _mix(z: int) -> int:
 
 class BudgetExceeded(ValueError):
     """A search would enumerate more machines, build more pair machines, or
-    walk more subsets per sample than its budget allows."""
+    walk more subsets per sample than its budget allows.  A count of over 64
+    bits is written as ``at least 2**k``, the power of two below it."""
 
     def __init__(self, needed: int, budget: int, what: str = "machines"):
+        self._refuse(needed.bit_length() - 1, needed, budget, what)
+
+    @classmethod
+    def _power(cls, k: int, budget: int, what: str = "machines") -> BudgetExceeded:
+        """The refusal of ``2**k``, which forms that number only when
+        ``needed`` is read: at k = 10**8 it would take 12.5 MB."""
+        err = cls.__new__(cls)
+        err._refuse(k, None, budget, what)
+        return err
+
+    def _refuse(self, k: int, needed: int | None, budget: int, what: str) -> None:
+        if needed is None and k < 64:
+            needed = 1 << k
         # Python will not write an integer of over 4,300 digits in decimal.
-        bits = needed.bit_length()
-        shown = needed if bits <= 64 else f"at least 2**{bits - 1}"
-        super().__init__(f"would examine {shown} {what}, over the budget of {budget}")
-        self.needed = needed
+        shown = needed if k < 64 else f"at least 2**{k}"
+        ValueError.__init__(
+            self, f"would examine {shown} {what}, over the budget of {budget}"
+        )
+        self._k = k
+        self._needed = needed
         self.budget = budget
+
+    @property
+    def needed(self) -> int:
+        if self._needed is None:
+            self._needed = 1 << self._k
+        return self._needed
 
 
 def _check_seed(seed: int) -> None:
@@ -221,7 +243,7 @@ def _side_size(states: int, alphabet: Alphabet) -> int:
     states on, the ``2**states`` final sets alone are refused: the full count
     is not formed, as it can run to millions of digits."""
     if _is_int(states) and states >= 64:
-        raise BudgetExceeded(1 << states, DEFAULT_MACHINE_BUDGET)
+        raise BudgetExceeded._power(states, DEFAULT_MACHINE_BUDGET)
     total = dfa_space_size(states, alphabet)
     if total > DEFAULT_MACHINE_BUDGET:
         raise BudgetExceeded(total, DEFAULT_MACHINE_BUDGET)
@@ -326,9 +348,11 @@ class SearchReport:
     pair reaching ``observed_max``, in enumeration order or in the sample
     stream.  ``machines_examined`` counts the (M, N) pairs the search
     covers; ``pairs_measured`` counts the pairs it measured: in exhaustive
-    mode one per cell of classes, where cells whose keys have the same
-    transition tables share one pair walk, and in sampled mode one per
-    sample whose pair machine it built."""
+    mode one per cell of classes measured, at most one per orbit of cells
+    under the letter renamings and none in a key-size group past where its
+    bound lets a cell take the win, where cells whose keys have the same
+    transition tables share one pair walk; in sampled mode one per sample
+    whose pair machine it built."""
 
     op: CombinedOp
     m: int
@@ -561,6 +585,31 @@ def _op_classes(
     )
 
 
+def _collapses(key: Dfa, mode: BooleanMode) -> bool:
+    """Whether ``key``, an op class key of w states, pairs with any machine
+    of v states in at most ``(w - 1) * v + 1`` minimal states.
+
+    It does when no transition enters its start, which then pairs only with
+    the other machine's start, or when it has an absorbing sink for
+    ``mode``, whose at most v pairs accept every word or none and so are one
+    state.  A star walk's fresh start is never re-entered and a full
+    reversal walk holds the op's sink, but a key is read as it is: a
+    minimised star key can re-enter its start (L = a*).
+    """
+    return not any(key.start in row for row in key.delta) or bool(_sinks(key, mode))
+
+
+def _group_bound(keys: list[Dfa], v: int, mode: BooleanMode) -> int:
+    """An upper bound on the minimal pair machine of any of ``keys``, op
+    class keys of one size w, with any machine of ``v`` states: the largest
+    of their own bounds, ``(w - 1) * v + 1`` for a key that ``_collapses``
+    and ``w * v`` for any other."""
+    w = keys[0].state_count
+    if all(_collapses(k, mode) for k in keys):
+        return (w - 1) * v + 1
+    return w * v
+
+
 def _exhaustive_walk(
     op: CombinedOp, m: int, n: int, alphabet: Alphabet, pair_budget: int
 ) -> tuple[int, tuple[Dfa, Dfa], int, int]:
@@ -596,26 +645,30 @@ def _exhaustive_walk(
     # m = n both sides share one enumeration.  Cell cm * width + cn holds
     # the pairs in classes (cm, cn).
     # Renaming letters commutes with star, reversal and the products, so
-    # an orbit of cells under the letter swaps has one size.  A pair
-    # machine of two keys has at most |key M| * |key N| states, so cells
-    # are walked in groups of equal key sizes, largest product first,
-    # until a group's bound falls below the running maximum.  Each orbit
-    # is measured at the first cell reached and marked seen; that cell
-    # has the orbit's earliest pair, since an orbit lies in one group, a
-    # group is walked in ascending cell order, and classes are numbered
-    # by first appearance.  A cell before the running winner gets the
-    # running maximum minus one, so a tie there is exact and takes the
-    # win; a cell after it cannot win a tie and gets the maximum itself.
-    # The kernel refines only a cell that can pass its bar: its pair count
-    # and its sink bound (the pairs on an absorbing sink are one state)
-    # both stand in for the size at or below the bar.  A size above the
-    # bar is exact, so the lowest measured cell of the largest size holds
-    # the earliest pair reaching it.
+    # an orbit of cells under the letter swaps has one size.  Cells are
+    # walked in groups of equal key sizes, largest product first, until
+    # that product falls below the running maximum.  A group's bound,
+    # ``_group_bound``, is (|key M| - 1) * |key N| + 1 when every M key of
+    # the group has a start no transition enters or an absorbing sink, and
+    # |key M| * |key N| otherwise.  A group whose bound is below the
+    # running maximum is skipped, and once the bound meets it the group
+    # stops at the first cell after the winner, since no later cell can
+    # pass it or take a tie.  Each orbit is measured at the first cell reached and marked
+    # seen; that cell has the orbit's earliest pair, since an orbit lies
+    # in one group, a group is walked in ascending cell order, and classes
+    # are numbered by first appearance.  A cell before the running winner
+    # gets the running maximum minus one, so a tie there is exact and
+    # takes the win; a cell after it cannot win a tie and gets the maximum
+    # itself.  The kernel refines only a cell that can pass its bar: its
+    # pair count and its sink bound both stand in for the size at or below
+    # the bar.  A size above the bar is exact, so the lowest measured cell
+    # of the largest size holds the earliest pair reaching it.
     # Keys that differ only in their finals share a transition table, and
     # so a pair walk: the kernel keeps one walk per pair of tables, filed
     # under M's table.  Keys of one table have one size, so each walk is
-    # read in one group only, and the walks of an M table go after the
-    # group's last class of that table.
+    # read in one group only.  The walks of an M table go after the
+    # group's last class of that table, and all of a group's walks go when
+    # it stops.
     boolean = op.boolean_mode
     width = len(n_keys)
     seen = bytearray(cells)
@@ -626,6 +679,9 @@ def _exhaustive_walk(
         if size_m * size_n < best:
             break
         m_group = m_sized[size_m]
+        bound = _group_bound([m_keys[cm] for cm in m_group], size_n, boolean)
+        if bound < best:
+            continue
         last = {m_table[cm]: cm for cm in m_group}
         for cm in m_group:
             key_m = m_keys[cm]
@@ -633,6 +689,8 @@ def _exhaustive_walk(
             shared = walks.setdefault(table, {})
             for cn in n_sized[size_n]:
                 cell = cm * width + cn
+                if best == bound and cell > winner:
+                    break
                 if seen[cell]:
                     continue
                 bar = best if cell > winner else best - 1
@@ -651,8 +709,13 @@ def _exhaustive_walk(
                         if not seen[y]:
                             seen[y] = 1
                             orbit.append(y)
-            if last[table] == cm:
-                del walks[table]
+            else:
+                if last[table] == cm:
+                    del walks[table]
+                continue
+            # The row stopped after the winner, and so does the group.
+            walks.clear()
+            break
     cm, cn = divmod(winner, width)
     return best, (m_first[cm], n_first[cn]), m_total * n_total, measured
 
@@ -732,7 +795,12 @@ def search_max(
     builds any letter-swap map.  Sampled mode refuses an M whose first
     component could walk more than ``DEFAULT_MACHINE_BUDGET`` subsets, that
     is ``2**m``, before it draws any sample.  Over a budget,
-    ``BudgetExceeded`` is raised.  Sampled mode measures a pair only if a
+    ``BudgetExceeded`` is raised, and neither ``2**m`` nor the predicted
+    bound is formed.  Exhaustive mode walks a group of w-state M keys and
+    v-state N keys only while its bound can pass the running maximum or tie
+    it before the winner: ``(w - 1) * v + 1`` when every M key of the group
+    has a start no transition enters or an absorbing sink for the op, and
+    ``w * v`` otherwise.  Sampled mode measures a pair only if a
     bound on its size can pass the running maximum: ``(w - 1) * n + 1`` for
     a star walk of w states, whose fresh start pairs only with N's start,
     and for a reversal walk of all ``2**m`` subsets, whose pairs on the op's
@@ -757,8 +825,7 @@ def search_max(
     # 2**m > DEFAULT_MACHINE_BUDGET: a first component walks up to 2**m
     # subsets per sample.
     if mode.kind == "sampled" and m >= DEFAULT_MACHINE_BUDGET.bit_length():
-        raise BudgetExceeded(1 << m, DEFAULT_MACHINE_BUDGET, "subsets per sample")
-    predicted = tight_bound(op, m, n)
+        raise BudgetExceeded._power(m, DEFAULT_MACHINE_BUDGET, "subsets per sample")
     if mode.kind == "exhaustive":
         walk = _exhaustive_walk(op, m, n, alphabet, pair_budget)
     else:
@@ -769,6 +836,9 @@ def search_max(
         raise AssertionError(
             f"fast measurement {best} disagrees with the pipeline's {recheck}"
         )
+    # Formed only now, after both modes have refused an oversized side:
+    # the bound holds 2**m, which takes megabytes at a huge m.
+    predicted = tight_bound(op, m, n)
     return SearchReport(
         op, m, n, len(alphabet), mode, best, pair, examined, predicted, measured
     )

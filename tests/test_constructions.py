@@ -45,12 +45,14 @@ from conftest import (
 
 
 def test_combined_op_properties():
-    assert CombinedOp.STAR_UNION.uses_star
-    assert CombinedOp.STAR_INTERSECTION.uses_star
-    assert not CombinedOp.REVERSAL_UNION.uses_star
-    assert CombinedOp.STAR_UNION.boolean_mode == "union"
-    assert CombinedOp.REVERSAL_INTERSECTION.boolean_mode == "intersection"
+    assert [(op.uses_star, op.boolean_mode) for op in CombinedOp] == [
+        (True, "union"),
+        (True, "intersection"),
+        (False, "union"),
+        (False, "intersection"),
+    ]
     assert CombinedOp("star-union") is CombinedOp.STAR_UNION
+    assert len(CombinedOp) == 4
 
 
 def test_reversed_machine_accepts_reversed_words():

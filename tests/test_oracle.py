@@ -1,6 +1,7 @@
 import gc
 import itertools
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -458,6 +459,32 @@ def test_a_side_of_thousands_of_states_is_refused_on_its_final_sets():
     assert time.perf_counter() - start < 1
 
 
+def test_a_huge_side_is_refused_before_2_to_the_m_is_formed(monkeypatch):
+    # 2**(10**8) takes 12.5 MB, so neither mode may form it to refuse the
+    # side, and the closed-form bound, which holds 2**m, comes after
+    def formed(*args):
+        raise AssertionError("formed the closed-form bound")
+
+    monkeypatch.setattr(oracle, "tight_bound", formed)
+    m = 10**8
+    for mode, what in (
+        (SearchMode.exhaustive(), "machines"),
+        (SearchMode.sampled(5, 1), "subsets per sample"),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded) as err:
+                search_max(CombinedOp.STAR_UNION, m, 2, AB, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, mode
+        assert str(err.value) == (
+            f"would examine at least 2**{m} {what}, over the budget of 2097152"
+        )
+        assert err.value.budget == DEFAULT_MACHINE_BUDGET
+
+
 def test_an_oversized_side_is_refused_before_either_side_is_enumerated(monkeypatch):
     # classing N's 157,464 three-state machines on three letters takes
     # seconds, and the four-state M side is over the budget, so no machine
@@ -528,15 +555,16 @@ def test_search_max_matches_brute_force(op, m, n, sigma):
 @pytest.mark.parametrize(
     "op, measured",
     [
-        (CombinedOp.STAR_UNION, 248),
-        (CombinedOp.STAR_INTERSECTION, 248),
-        (CombinedOp.REVERSAL_UNION, 1216),
-        (CombinedOp.REVERSAL_INTERSECTION, 1216),
+        (CombinedOp.STAR_UNION, 10),
+        (CombinedOp.STAR_INTERSECTION, 9),
+        (CombinedOp.REVERSAL_UNION, 137),
+        (CombinedOp.REVERSAL_INTERSECTION, 137),
     ],
 )
-def test_exhaustive_search_measures_one_pair_per_orbit(op, measured):
-    # one pair per orbit, and only the orbits whose key sizes can still
-    # reach the maximum: of 1,512 orbits per star op and 2,516 per reversal op
+def test_exhaustive_search_measures_at_most_one_pair_per_orbit(op, measured):
+    # at most one pair per orbit, and only the orbits whose key-size group
+    # can still reach the maximum, or tie it before the winner: of 1,512
+    # orbits per star op and 2,516 per reversal op
     report = search_max(op, 2, 2, STAR_ALPHABET, SearchMode.exhaustive())
     assert report.machines_examined == 65536
     assert report.pairs_measured == measured
@@ -553,8 +581,9 @@ def unpruned_class_table(op, m, n, alphabet):
     """The exhaustive search without orbits or pruning: every cell of the
     (M key, N key) table is measured, and the earliest pair in enumeration
     order reaching the maximum wins.  Returns the maximum, that pair, the
-    pairs covered, and the number of orbits of cells under every renaming
-    of the letters."""
+    pairs covered, and the orbits of cells under every renaming of the
+    letters, each a set of (M key, N key) cells mapped to its size and to
+    the enumeration indices of its earliest pair."""
     ms, ns = [], []
     enumerate_dfas(m, alphabet, ms.append)
     enumerate_dfas(n, alphabet, ns.append)
@@ -572,46 +601,70 @@ def unpruned_class_table(op, m, n, alphabet):
         for dN, kn in zip(ns, n_keys)
         if size[km, kn] == best
     )
+    first_m, first_n = {}, {}
+    for i, km in enumerate(m_keys):
+        first_m.setdefault(km, i)
+    for j, kn in enumerate(n_keys):
+        first_n.setdefault(kn, j)
     perms = list(itertools.permutations(range(len(alphabet))))
     images = {k: [renamed(k, p) for p in perms] for k in {*m_keys, *n_keys}}
-    orbits = {frozenset(zip(images[km], images[kn])) for km, kn in size}
-    return best, best_pair, len(ms) * len(ns), len(orbits)
+    orbits = {}
+    for km, kn in size:
+        orbit = frozenset(zip(images[km], images[kn]))
+        if orbit not in orbits:
+            earliest = min((first_m[cm], first_n[cn]) for cm, cn in orbit)
+            orbits[orbit] = size[km, kn], earliest
+    return best, best_pair, len(ms) * len(ns), orbits
 
 
 @pytest.fixture(scope="module")
 def unpruned():
-    """``unpruned(op, sigma)``: the unpruned class table at m=n=2 over the
-    first ``sigma`` of a, b, c, built once per module."""
+    """``unpruned(op, sigma, m=2)``: the unpruned class table at n=2 over
+    the first ``sigma`` of a, b, c, built once per module."""
     tables = {}
 
-    def table(op, sigma):
-        if (op, sigma) not in tables:
+    def table(op, sigma, m=2):
+        if (op, sigma, m) not in tables:
             alphabet = Alphabet(("a", "b", "c")[:sigma])
-            tables[op, sigma] = unpruned_class_table(op, 2, 2, alphabet)
-        return tables[op, sigma]
+            tables[op, sigma, m] = unpruned_class_table(op, m, 2, alphabet)
+        return tables[op, sigma, m]
 
     return table
 
 
-# At three letters one star op is enough to keep the suite fast; both
-# reversal tables are built there anyway for the complement check below.
+# At (3,2,2) the reversal ops measure one cell: the first group's bound,
+# 2**3 * 2 - 1 = 15, is met by the first cell, which is the winner.
 @pytest.mark.parametrize(
-    "op, sigma",
-    [(op, sigma) for sigma in (1, 2) for op in CombinedOp]
-    + [
-        (CombinedOp.STAR_UNION, 3),
-        (CombinedOp.REVERSAL_UNION, 3),
-        (CombinedOp.REVERSAL_INTERSECTION, 3),
-    ],
+    "op, sigma, m",
+    [(op, sigma, 2) for sigma in (1, 2, 3) for op in CombinedOp]
+    + [(op, 2, 3) for op in CombinedOp],
 )
-def test_pruned_search_matches_the_unpruned_class_table(unpruned, op, sigma):
-    best, best_pair, examined, orbits = unpruned(op, sigma)
+def test_pruned_search_matches_the_unpruned_class_table(
+    monkeypatch, unpruned, op, sigma, m
+):
+    # the search reports what the unpruned table finds, measures at most
+    # one cell per orbit, and skips an orbit only if it cannot take the
+    # win: its size is below the maximum, or equal with its earliest pair
+    # after the winning one
+    best, best_pair, examined, orbits = unpruned(op, sigma, m)
+    orbit_of = {cell: orbit for orbit in orbits for cell in orbit}
+    measured = []
+
+    def recording(d1, dN, mode, bar, *walk):
+        measured.append(orbit_of[d1, dN])
+        return _measured_size(d1, dN, mode, bar, *walk)
+
+    monkeypatch.setattr(oracle, "_measured_size", recording)
     alphabet = Alphabet(("a", "b", "c")[:sigma])
-    report = search_max(op, 2, 2, alphabet, SearchMode.exhaustive())
+    report = search_max(op, m, 2, alphabet, SearchMode.exhaustive())
     assert report.observed_max == best
     assert report.achieving_pair == best_pair
     assert report.machines_examined == examined
-    assert report.pairs_measured <= orbits
+    assert report.pairs_measured == len(measured) == len(set(measured))
+    winner = min(at for size, at in orbits.values() if size == best)
+    for orbit in orbits.keys() - set(measured):
+        size, at = orbits[orbit]
+        assert size < best or (size == best and at > winner), sorted(orbit)
 
 
 def complement(d):
@@ -668,10 +721,10 @@ def test_exhaustive_sizes_that_reach_the_maximum_are_exact(monkeypatch, op):
 @pytest.mark.parametrize(
     "op, measured, walked",
     [
-        (CombinedOp.STAR_UNION, 248, 124),
-        (CombinedOp.STAR_INTERSECTION, 248, 124),
-        (CombinedOp.REVERSAL_UNION, 1216, 304),
-        (CombinedOp.REVERSAL_INTERSECTION, 1216, 304),
+        (CombinedOp.STAR_UNION, 10, 5),
+        (CombinedOp.STAR_INTERSECTION, 9, 5),
+        (CombinedOp.REVERSAL_UNION, 137, 35),
+        (CombinedOp.REVERSAL_INTERSECTION, 137, 35),
     ],
 )
 def test_exhaustive_kernel_walks_each_pair_of_key_tables_once(
@@ -1017,6 +1070,34 @@ def walk_shape(first, op):
         for q, row in enumerate(first.delta)
     )
     return entered, sink
+
+
+@pytest.mark.parametrize("m, n, sigma", [(2, 2, 3), (3, 2, 2), (2, 3, 2)])
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_group_bound_holds_on_every_cell(op, m, n, sigma):
+    # the walk bounds a group of M keys of w states and N keys of v states
+    # by (w - 1) * v + 1 when every M key collapses, and w * v otherwise;
+    # no cell of the group may measure above that, and a key collapses
+    # exactly when no edge enters its start or it has an absorbing sink
+    alphabet = Alphabet(("a", "b", "c")[:sigma])
+    mode = op.boolean_mode
+    n_keys = oracle._classes(n, alphabet)[0]
+    m_keys = oracle._op_classes(*oracle._classes(m, alphabet)[:2], op)[0]
+    for km in m_keys:
+        entered, sink = walk_shape(km, op)
+        assert oracle._collapses(km, mode) == (not entered or sink), km
+    for w, m_group in oracle._size_groups(m_keys).items():
+        group = [m_keys[c] for c in m_group]
+        for v, n_group in oracle._size_groups(n_keys).items():
+            bound = oracle._group_bound(group, v, mode)
+            assert bound in ((w - 1) * v + 1, w * v)
+            for km in group:
+                for kn in (n_keys[c] for c in n_group):
+                    # a pair machine has at most its pair count of states
+                    if len(pair_rows(km, kn)[0]) <= bound:
+                        continue
+                    exact = table_filling_minimize(product(km, kn, mode).dfa)
+                    assert exact.state_count <= bound, (km, kn)
 
 
 def unpruned_search(op, m, n, alphabet, samples, seed):
