@@ -735,6 +735,22 @@ def _shape_bound(op: CombinedOp, m: int, n: int, w: int) -> int:
     return w * n
 
 
+def _cap_table(
+    op: CombinedOp, m: int, n: int
+) -> tuple[dict[tuple[bool, int], tuple[int, int]], int]:
+    """``_shape_bound`` at ``first_component_cap``, which reads M's finals
+    only through whether state 0 is final and how many are: per (start
+    final, count), the bound with N's ``n`` states and with one.  Also the
+    largest bound with ``n``, which no sample can pass."""
+    caps = {}
+    for start in (False, True):
+        for count in range(start, m + start):
+            finals = frozenset(range(1 - start, count + 1 - start))
+            w = first_component_cap(op, m, finals)
+            caps[start, count] = (_shape_bound(op, m, n, w), _shape_bound(op, m, 1, w))
+    return caps, max(bound for bound, _ in caps.values())
+
+
 def _sampled_walk(
     op: CombinedOp, m: int, n: int, alphabet: Alphabet, mode: SearchMode
 ) -> tuple[int, tuple[Dfa, Dfa], int, int]:
@@ -743,29 +759,42 @@ def _sampled_walk(
 
     A sample is built only as far as ``_shape_bound`` lets it pass the
     running maximum: first with the cap of M's finals, which are read
-    before M's rows are drawn, and then with the walk's state count, which
-    is known before its table is built or N is drawn."""
+    before M's rows are drawn, then with N's finals, and then with the
+    walk's state count, which is known before its table is built or N is
+    drawn.  An N whose states are all final or all non-final accepts Σ* or
+    ∅, one minimal state, so its pair is no larger than the first
+    component.  Once the running maximum reaches the largest cap bound, no
+    later sample can pass, and the walk stops drawing."""
     boolean = op.boolean_mode
     rng = SplitMix64(mode.seed)
     sigma = len(alphabet)
+    caps, ceiling = _cap_table(op, m, n)
     best = -1
     measured = 0
     # The first sample passes every bound below, so it sets the pair.
     pair: tuple[Dfa, Dfa]
     for _ in range(mode.samples):
+        # Every later sample would be refused on its cap.
+        if best >= ceiling:
+            break
         m_seed = rng.next_uint64()
         n_seed = rng.next_uint64()
         # The bound never falls as the walk grows, and the walk has at most
         # the cap's states, so a sample refused on its cap would be refused
         # on its walk.  A refused sample cannot pass the running maximum,
-        # and both seeds are drawn either way, so the sample stream and the
-        # achieving pair do not depend on this pruning.
+        # and both its seeds are drawn either way, so the sample stream and
+        # the achieving pair do not depend on this pruning.
         finals = _random_finals(m, sigma, m_seed)
-        if _shape_bound(op, m, n, first_component_cap(op, m, finals)) <= best:
+        bound, bound_alone = caps[0 in finals, len(finals)]
+        if bound <= best:
+            continue
+        # N's minimal states: one when none or all of its states are final.
+        v = n if 0 < len(_random_finals(n, sigma, n_seed)) < n else 1
+        if v == 1 and bound_alone <= best:
             continue
         dM = Dfa._trusted(alphabet, m, 0, finals, _random_rows(m, sigma, m_seed))
         walk = first_component(dM, op)
-        if _shape_bound(op, m, n, walk.state_count) > best:
+        if _shape_bound(op, m, v, walk.state_count) > best:
             dN = random_dfa(n, alphabet, n_seed)
             size = _measured_size(walk.dfa, dN, boolean, best)
             measured += 1
@@ -794,7 +823,8 @@ def search_max(
     classes M's language classes by ``op``, and checks the budget before it
     builds any letter-swap map.  Sampled mode refuses an M whose first
     component could walk more than ``DEFAULT_MACHINE_BUDGET`` subsets, that
-    is ``2**m``, before it draws any sample.  Over a budget,
+    is ``2**m``, and an N of more than ``DEFAULT_MACHINE_BUDGET`` states,
+    before it draws any sample.  Over a budget,
     ``BudgetExceeded`` is raised, and neither ``2**m`` nor the predicted
     bound is formed.  Exhaustive mode walks a group of w-state M keys and
     v-state N keys only while its bound can pass the running maximum or tie
@@ -806,7 +836,11 @@ def search_max(
     and for a reversal walk of all ``2**m`` subsets, whose pairs on the op's
     sink are one state, and ``w * n`` for any other walk.  It is checked
     with w the most states M's finals allow, before M's rows are drawn, and
-    then with w the walk's size, before N is drawn.
+    then with w the walk's size, before N is drawn; n is taken as 1 when
+    none or all of N's states are final, which is read before M's rows are
+    drawn.  Once the running maximum reaches the largest bound that any
+    final set of M allows, no later sample can pass it, and sampled mode
+    stops drawing.
     Deterministic for fixed arguments; ties go to the earliest pair, and the
     winner is re-measured through the public pipeline before reporting.
     Arguments of the wrong type or range raise ``ValueError``.
@@ -826,6 +860,9 @@ def search_max(
     # subsets per sample.
     if mode.kind == "sampled" and m >= DEFAULT_MACHINE_BUDGET.bit_length():
         raise BudgetExceeded._power(m, DEFAULT_MACHINE_BUDGET, "subsets per sample")
+    # Every sampled search draws at least one N of n * sigma transitions.
+    if mode.kind == "sampled" and n > DEFAULT_MACHINE_BUDGET:
+        raise BudgetExceeded(n, DEFAULT_MACHINE_BUDGET, "states of N per sample")
     if mode.kind == "exhaustive":
         walk = _exhaustive_walk(op, m, n, alphabet, pair_budget)
     else:

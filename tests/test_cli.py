@@ -574,6 +574,10 @@ def test_search_budget_env_var(capsys, monkeypatch):
             "search star-union --m 1000000 --n 2 --sigma 3 --samples 5",
             "would examine at least 2**1000000 subsets per sample, over the budget of 2097152",
         ),
+        (
+            "search star-union --m 2 --n 1000000000 --sigma 2 --samples 3",
+            "would examine 1000000000 states of N per sample, over the budget of 2097152",
+        ),
         ("sweep star-union --m 5..3 --n 2", "bad m range '5..3': 5 > 3"),
         ("sweep star-union --m 2 --n 2..9", "n range 2..9 outside 2..8"),
     ],
@@ -630,8 +634,10 @@ def test_search_json_counts_pairs_measured(capsys):
     payload = json.loads(out)
     assert payload["machines_examined"] == 25
     # Two samples whose star walk has two states come after the maximum of
-    # 3, and (2 - 1) * 2 + 1 = 3 pair states cannot pass it.
-    assert payload["pairs_measured"] == 23
+    # 3, and (2 - 1) * 2 + 1 = 3 pair states cannot pass it.  Nor can the
+    # 13 later samples whose N has all or none of its states final, whose
+    # pair accepts the walk's language or Σ* or ∅, at most 3 states.
+    assert payload["pairs_measured"] == 10
     # Under reversal most pairs cannot beat the running maximum, so their
     # pair machines are never built.
     argv = ("search", "reversal-union", "--m", "2", "--n", "2", "--sigma", "3")
@@ -639,7 +645,7 @@ def test_search_json_counts_pairs_measured(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["machines_examined"] == 25
-    assert payload["pairs_measured"] == 10
+    assert payload["pairs_measured"] == 4
 
 
 def test_search_rejects_seeds_outside_64_bits(capsys):

@@ -44,6 +44,7 @@ from sclab.witnesses import (
     reversal_witness_m,
     star_witness_m,
     star_witness_n,
+    tight_bound,
 )
 
 from conftest import AB, mkdfa, rebuilt, words_upto
@@ -1105,10 +1106,11 @@ def unpruned_search(op, m, n, alphabet, samples, seed):
     measured through the public pipeline, and the first strict maximum
     wins.  Also counts the pairs the documented rule measures, whose bound
     passes the running maximum, with the bound read off the built walk of
-    w states: ``(w - 1) * n + 1`` for a star walk whose state 0 no edge
-    enters and for a reversal walk of all ``2**m`` subsets with an absorbing
-    sink, and ``w * n`` otherwise; and the pairs the older rule, ``w * n``
-    alone, measured."""
+    w states and N's finals: with v = 1 when none or all of N's states are
+    final and v = n otherwise, ``(w - 1) * v + 1`` for a star walk whose
+    state 0 no edge enters and for a reversal walk of all ``2**m`` subsets
+    with an absorbing sink, and ``w * v`` otherwise; and the pairs the older
+    rule, ``w * n`` alone, measured."""
     rng = SplitMix64(seed)
     best, best_pair, measured, measured_before = -1, None, 0, 0
     for _ in range(samples):
@@ -1116,9 +1118,10 @@ def unpruned_search(op, m, n, alphabet, samples, seed):
         dN = random_dfa(n, alphabet, rng.next_uint64())
         first = first_component(dM, op).dfa
         w = first.state_count
+        v = n if 0 < len(dN.finals) < n else 1
         entered, sink = walk_shape(first, op)
         collapses = not entered if op.uses_star else w == 2**m and sink
-        measured += (w - 1) * n + 1 > best if collapses else w * n > best
+        measured += (w - 1) * v + 1 > best if collapses else w * v > best
         measured_before += w * n > best
         size = state_complexity(dM, dN, op)
         if size > best:
@@ -1156,6 +1159,42 @@ def test_sampled_search_matches_the_unpruned_loop_on_long_streams(op):
     # only the walk's size, refuses most of the later samples
     measured, measured_before = matches_unpruned(op, 3, 2, AB, 400, 5)
     assert measured < measured_before
+
+
+@pytest.mark.parametrize(
+    "op, seed",
+    [(CombinedOp.STAR_UNION, 7), (CombinedOp.STAR_INTERSECTION, 0)],
+)
+def test_sampled_search_matches_the_unpruned_loop_past_the_ceiling(op, seed):
+    # the maximum reaches the largest cap bound, 11, at sample 125 (seed 7)
+    # or 64 (seed 0), and the search stops drawing there
+    matches_unpruned(op, 3, 2, STAR_ALPHABET, 400, seed)
+
+
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_the_sampled_ceiling_is_the_closed_form(op):
+    # the largest cap bound, over every final set of M, and the paper's
+    # closed form are two derivations of one number
+    for m, n in itertools.product(range(2, 16), range(2, 9)):
+        assert oracle._cap_table(op, m, n)[1] == tight_bound(op, m, n), (m, n)
+
+
+def test_sampled_search_stops_drawing_at_the_ceiling(monkeypatch):
+    # star-union at (3,2,3), seed 7, reaches 11 at sample 125, so samples
+    # 0..125 are drawn, two seeds each, and no later one
+    draws = [0]
+    real = SplitMix64.next_uint64
+
+    def counting(self):
+        draws[0] += 1
+        return real(self)
+
+    monkeypatch.setattr(SplitMix64, "next_uint64", counting)
+    mode = SearchMode.sampled(400, 7)
+    report = search_max(CombinedOp.STAR_UNION, 3, 2, STAR_ALPHABET, mode)
+    assert report.observed_max == tight_bound(CombinedOp.STAR_UNION, 3, 2) == 11
+    assert report.machines_examined == 400
+    assert draws[0] == 2 * 126
 
 
 def check_shape_bound(op, dM, partners):
@@ -1227,6 +1266,31 @@ def test_sampled_search_refuses_2_to_the_m_subsets_before_drawing(monkeypatch):
     assert (err.value.needed, err.value.budget) == (16, 8)
     with pytest.raises(AssertionError, match="a sample was drawn"):
         search_max(CombinedOp.REVERSAL_UNION, 3, 2, AB, mode)
+
+
+def test_sampled_search_refuses_a_huge_n_before_drawing(monkeypatch):
+    # every search draws an N of n * sigma transitions; over the machine
+    # budget it is refused before any sample is drawn, and the refusal of
+    # n = 10**9 allocates next to nothing
+    no_draws(monkeypatch)
+    mode = SearchMode.sampled(3, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="states of N per sample") as err:
+            search_max(CombinedOp.STAR_UNION, 2, 10**9, AB, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert (err.value.needed, err.value.budget) == (10**9, DEFAULT_MACHINE_BUDGET)
+    # at a budget of 8, n = 8 is drawn and n = 9 is not
+    monkeypatch.setattr(oracle, "DEFAULT_MACHINE_BUDGET", 8)
+    for op in CombinedOp:
+        with pytest.raises(BudgetExceeded) as err:
+            search_max(op, 2, 9, AB, mode)
+        assert (err.value.needed, err.value.budget) == (9, 8)
+        with pytest.raises(AssertionError, match="a sample was drawn"):
+            search_max(op, 2, 8, AB, mode)
 
 
 @pytest.mark.parametrize("op", list(CombinedOp))
