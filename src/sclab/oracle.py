@@ -737,18 +737,35 @@ def _shape_bound(op: CombinedOp, m: int, n: int, w: int) -> int:
 
 def _cap_table(
     op: CombinedOp, m: int, n: int
-) -> tuple[dict[tuple[bool, int], tuple[int, int]], int]:
-    """``_shape_bound`` at ``first_component_cap``, which reads M's finals
-    only through whether state 0 is final and how many are: per (start
-    final, count), the bound with N's ``n`` states and with one.  Also the
-    largest bound with ``n``, which no sample can pass."""
+) -> dict[tuple[bool, int], tuple[int, int, int]]:
+    """``first_component_cap``, which reads M's finals only through whether
+    state 0 is final and how many are, per (start final, count): the cap,
+    and ``_shape_bound`` at the cap with N's ``n`` states and with one."""
     caps = {}
     for start in (False, True):
         for count in range(start, m + start):
             finals = frozenset(range(1 - start, count + 1 - start))
             w = first_component_cap(op, m, finals)
-            caps[start, count] = (_shape_bound(op, m, n, w), _shape_bound(op, m, 1, w))
-    return caps, max(bound for bound, _ in caps.values())
+            caps[start, count] = (w, _shape_bound(op, m, n, w), _shape_bound(op, m, 1, w))
+    return caps
+
+
+def _may_fill_cap(op: CombinedOp, d: Dfa) -> bool:
+    """False only when ``first_component(d, op)`` has fewer states than
+    ``first_component_cap``.  With k >= 1 finals F0 other than the start, a
+    star walk reaches its cap only if it reaches every subset the cap
+    counts: among them Q - F0, which meets no final and so is some letter's
+    image of an earlier subset, and the whole set Q, which is such an image
+    plus the restarted start.  Some letter must then map the states onto a
+    superset of Q - F0, and some letter onto a superset of Q less the
+    start.  Reversal walks, and star walks with k = 0, are not judged."""
+    f0 = d.finals - {d.start}
+    if not op.uses_star or not f0:
+        return True
+    states = set(range(d.state_count))
+    free, rest = states - f0, states - {d.start}
+    images = [set(column) for column in zip(*d.delta)]
+    return any(free <= i for i in images) and any(rest <= i for i in images)
 
 
 def _sampled_walk(
@@ -763,20 +780,17 @@ def _sampled_walk(
     walk's state count, which is known before its table is built or N is
     drawn.  An N whose states are all final or all non-final accepts Σ* or
     ∅, one minimal state, so its pair is no larger than the first
-    component.  Once the running maximum reaches the largest cap bound, no
-    later sample can pass, and the walk stops drawing."""
+    component.  When only a walk that fills its cap could pass, M's rows
+    are checked by ``_may_fill_cap`` before the walk."""
     boolean = op.boolean_mode
     rng = SplitMix64(mode.seed)
     sigma = len(alphabet)
-    caps, ceiling = _cap_table(op, m, n)
+    caps = _cap_table(op, m, n)
     best = -1
     measured = 0
     # The first sample passes every bound below, so it sets the pair.
     pair: tuple[Dfa, Dfa]
     for _ in range(mode.samples):
-        # Every later sample would be refused on its cap.
-        if best >= ceiling:
-            break
         m_seed = rng.next_uint64()
         n_seed = rng.next_uint64()
         # The bound never falls as the walk grows, and the walk has at most
@@ -785,7 +799,7 @@ def _sampled_walk(
         # and both its seeds are drawn either way, so the sample stream and
         # the achieving pair do not depend on this pruning.
         finals = _random_finals(m, sigma, m_seed)
-        bound, bound_alone = caps[0 in finals, len(finals)]
+        cap, bound, bound_alone = caps[0 in finals, len(finals)]
         if bound <= best:
             continue
         # N's minimal states: one when none or all of its states are final.
@@ -793,6 +807,9 @@ def _sampled_walk(
         if v == 1 and bound_alone <= best:
             continue
         dM = Dfa._trusted(alphabet, m, 0, finals, _random_rows(m, sigma, m_seed))
+        # A walk short of its cap has at most cap - 1 states.
+        if _shape_bound(op, m, v, cap - 1) <= best and not _may_fill_cap(op, dM):
+            continue
         walk = first_component(dM, op)
         if _shape_bound(op, m, v, walk.state_count) > best:
             dN = random_dfa(n, alphabet, n_seed)
@@ -835,12 +852,11 @@ def search_max(
     a star walk of w states, whose fresh start pairs only with N's start,
     and for a reversal walk of all ``2**m`` subsets, whose pairs on the op's
     sink are one state, and ``w * n`` for any other walk.  It is checked
-    with w the most states M's finals allow, before M's rows are drawn, and
-    then with w the walk's size, before N is drawn; n is taken as 1 when
-    none or all of N's states are final, which is read before M's rows are
-    drawn.  Once the running maximum reaches the largest bound that any
-    final set of M allows, no later sample can pass it, and sampled mode
-    stops drawing.
+    with w the most states M's finals allow, before M's rows are drawn,
+    with w one less when M's rows show a star walk cannot reach that many,
+    and then with w the walk's size, before N is drawn; n is taken as 1
+    when none or all of N's states are final, which is read before M's rows
+    are drawn.  Every sample is drawn, whatever the running maximum.
     Deterministic for fixed arguments; ties go to the earliest pair, and the
     winner is re-measured through the public pipeline before reporting.
     Arguments of the wrong type or range raise ``ValueError``.

@@ -1165,36 +1165,69 @@ def test_sampled_search_matches_the_unpruned_loop_on_long_streams(op):
     "op, seed",
     [(CombinedOp.STAR_UNION, 7), (CombinedOp.STAR_INTERSECTION, 0)],
 )
-def test_sampled_search_matches_the_unpruned_loop_past_the_ceiling(op, seed):
+def test_sampled_search_matches_the_unpruned_loop_at_the_closed_form(op, seed):
     # the maximum reaches the largest cap bound, 11, at sample 125 (seed 7)
-    # or 64 (seed 0), and the search stops drawing there
+    # or 64 (seed 0), and every later sample is refused on its cap
     matches_unpruned(op, 3, 2, STAR_ALPHABET, 400, seed)
 
 
 @pytest.mark.parametrize("op", list(CombinedOp))
-def test_the_sampled_ceiling_is_the_closed_form(op):
+def test_the_largest_cap_bound_is_the_closed_form(op):
     # the largest cap bound, over every final set of M, and the paper's
     # closed form are two derivations of one number
     for m, n in itertools.product(range(2, 16), range(2, 9)):
-        assert oracle._cap_table(op, m, n)[1] == tight_bound(op, m, n), (m, n)
+        caps = oracle._cap_table(op, m, n)
+        assert max(bound for _, bound, _ in caps.values()) == tight_bound(op, m, n), (m, n)
 
 
-def test_sampled_search_stops_drawing_at_the_ceiling(monkeypatch):
-    # star-union at (3,2,3), seed 7, reaches 11 at sample 125, so samples
-    # 0..125 are drawn, two seeds each, and no later one
-    draws = [0]
-    real = SplitMix64.next_uint64
+def fill_check_machines():
+    """Every machine with m <= 3 on one and two letters, and random ones
+    with m 2..6 on one to three letters, renumbered to start at 0."""
+    machines = []
+    for alphabet in (A1, AB):
+        for m in (1, 2, 3):
+            enumerate_dfas(m, alphabet, machines.append)
+    rng = SplitMix64(0xF111)
+    for sigma, m in itertools.product((1, 2, 3), range(2, 7)):
+        alphabet = Alphabet(("a", "b", "c")[:sigma])
+        machines += [random_dfa(m, alphabet, rng.next_uint64()) for _ in range(150)]
+    return machines
 
-    def counting(self):
-        draws[0] += 1
-        return real(self)
 
-    monkeypatch.setattr(SplitMix64, "next_uint64", counting)
-    mode = SearchMode.sampled(400, 7)
-    report = search_max(CombinedOp.STAR_UNION, 3, 2, STAR_ALPHABET, mode)
-    assert report.observed_max == tight_bound(CombinedOp.STAR_UNION, 3, 2) == 11
-    assert report.machines_examined == 400
-    assert draws[0] == 2 * 126
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_a_walk_refused_by_the_fill_check_stays_below_its_cap(op):
+    refused = 0
+    for d in fill_check_machines():
+        cap = first_component_cap(op, d.state_count, d.finals)
+        if not oracle._may_fill_cap(op, d):
+            refused += 1
+            assert first_component(d, op).state_count < cap, d
+    for m in range(2, 9):
+        witness = star_witness_m(m) if op.uses_star else reversal_witness_m(m)
+        assert oracle._may_fill_cap(op, witness), m
+    # the check judges star walks only, and refuses a good share of them
+    assert refused > 1000 if op.uses_star else refused == 0
+
+
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_the_fill_check_skips_walks_and_changes_no_report(monkeypatch, op):
+    walks = []
+
+    def counting(d, op):
+        walks.append(d)
+        return first_component(d, op)
+
+    monkeypatch.setattr(oracle, "first_component", counting)
+    # at seed 1 the star maximum, 33, is past the bound of a walk one state
+    # short of its cap, 31, from early in the stream
+    mode = SearchMode.sampled(2000, 1)
+    checked = search_max(op, 4, 3, STAR_ALPHABET, mode)
+    walked = len(walks)
+    walks.clear()
+    monkeypatch.setattr(oracle, "_may_fill_cap", lambda op, d: True)
+    unchecked = search_max(op, 4, 3, STAR_ALPHABET, mode)
+    assert checked == unchecked
+    assert walked < len(walks) / 2 if op.uses_star else walked == len(walks)
 
 
 def check_shape_bound(op, dM, partners):
