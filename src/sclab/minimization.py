@@ -47,11 +47,14 @@ def _refine(
     pending), which keeps Hopcroft's n log n bound.  Under one symbol a state
     has one successor, so it is a predecessor of at most one splitter state
     and is marked at most once; singleton blocks cannot split and are never
-    marked.
+    marked.  Two states of different finality are two singleton blocks from
+    the start, so they return at once, with the ids the loop would give them.
     """
     nf = sum(finals)
     if nf == 0 or nf == n:
         return [0] * n, 1
+    if n == 2:
+        return [0 if f else 1 for f in finals], 2
     links: list[tuple[list[int], list[int]]] = []
     for column in zip(*rows):
         head = [-1] * n

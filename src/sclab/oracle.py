@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable
 
 from .core import (
@@ -462,24 +463,21 @@ def _trace(delta: tuple[tuple[int, ...], ...], sigma: int, depth: int) -> bytes:
     return b"".join(levels)
 
 
-def _classes(
-    states: int, alphabet: Alphabet
-) -> tuple[list[Dfa], list[Dfa], dict[bytes, int]]:
+def _classes(states: int, alphabet: Alphabet) -> tuple[list[Dfa], dict[bytes, int]]:
     """Enumerate the machines on ``states`` states and group them by
     language as they stream past, numbering the classes by first appearance.
 
     A machine's signature is its acceptance of every word from ``_words``,
     one byte each: the trace of its table, made once per table, read
     through its finals.  Equal signatures mean equal languages, so only the
-    first machine of each class is kept and minimised.  Returns the minimal
-    DFAs of the classes in class order, their first machines, so a lower
-    class number means an earlier first machine, and the class of each
-    signature.
+    first machine of each class is kept.  Returns the first machines in
+    class order, so a lower class number means an earlier first machine,
+    and the class of each signature.  Nothing is minimised here: a caller
+    that needs a class's minimal DFA minimises its first machine.
     """
     sigma = len(alphabet)
     depth = 2 * states - 2
     number: dict[bytes, int] = {}
-    keys: list[Dfa] = []
     first: list[Dfa] = []
     finality: dict[frozenset[int], bytes] = {}
     table: tuple[tuple[int, ...], ...] | None = None
@@ -495,12 +493,11 @@ def _classes(
             accept = finality[d.finals] = bytes(q in d.finals for q in range(256))
         signature = trace.translate(accept)
         if signature not in number:
-            number[signature] = len(keys)
-            keys.append(minimize(d))
+            number[signature] = len(first)
             first.append(d)
 
     enumerate_dfas(states, alphabet, consume)
-    return keys, first, number
+    return first, number
 
 
 def _letter_swaps(number: dict[bytes, int], states: int, sigma: int) -> list[list[int]]:
@@ -510,8 +507,9 @@ def _letter_swaps(number: dict[bytes, int], states: int, sigma: int) -> list[lis
     ``number`` is ``_classes``' class of each signature.  The renamed
     language accepts a word iff the language accepts the word renamed, so
     its signature is the class's own with each word's byte read at the
-    renamed word.  Both enumerations are closed under renaming letters, so
-    a signature that is not found means the classes were built wrong.
+    renamed word, gathered by one ``itemgetter`` call.  Both enumerations
+    are closed under renaming letters, so a signature that is not found
+    means the classes were built wrong.
     """
     words = _words(states, sigma)
     at = {w: i for i, w in enumerate(words)}
@@ -519,9 +517,12 @@ def _letter_swaps(number: dict[bytes, int], states: int, sigma: int) -> list[lis
     for a in range(sigma - 1):
         trade = {a: a + 1, a + 1: a}
         moved = [at[tuple(trade.get(x, x) for x in w)] for w in words]
+        # One word, the empty one, stays in place; itemgetter of one index
+        # would return a byte, not a tuple.
+        gather = itemgetter(*moved) if len(moved) > 1 else bytes
         image = []
         for signature in number:
-            c = number.get(bytes([signature[i] for i in moved]))
+            c = number.get(bytes(gather(signature)))
             if c is None:
                 raise AssertionError(
                     f"swapping letters {a} and {a + 1} leaves the enumerated classes"
@@ -546,7 +547,7 @@ def _table_numbers(keys: list[Dfa]) -> list[int]:
 
 
 def _op_classes(
-    lang_keys: list[Dfa], lang_first: list[Dfa], op: CombinedOp
+    lang_walked: Iterable[Dfa], lang_first: list[Dfa], op: CombinedOp
 ) -> tuple[
     list[Dfa],
     list[Dfa],
@@ -554,24 +555,29 @@ def _op_classes(
     Callable[[list[list[int]]], list[list[int]]],
 ]:
     """Class machines by the minimal DFA of ``op``'s first component, given
-    their language classes from ``_classes``.
+    their language classes from ``_classes``: their first machines, and in
+    class order a machine of each class to walk, its minimal DFA or its
+    first machine trimmed to its reachable states.
 
     ``op(L(M))`` depends only on ``L(M)``, so each language class is keyed
-    once, through its own key, and the op classes are numbered by the first
-    language class to reach them.  That class holds the key's earliest
-    machine, so the keys, first machines and size groups are those of
-    ``_classes`` keyed per machine, without a second enumeration.  Also
+    once, through the machine walked for it, and the op classes are numbered
+    by the first language class to reach them.  That class holds the key's
+    earliest machine, so the keys, first machines and size groups are those
+    of ``_classes`` keyed per machine, without a second enumeration.  Also
     returns a function taking the language classes' letter swaps to the op
     classes': renaming letters commutes with star and reversal, so an op
-    class moves where its first language class moves.  A key has no
-    unreachable state, so its reversal walk is minimal and canonical already
-    (Brzozowski's lemma); only star keys are minimised.
+    class moves where its first language class moves.  A walked machine has
+    no unreachable state, so its reversal walk is the minimal DFA of the
+    reversed language in canonical order already (Brzozowski's lemma), the
+    same for every machine of the class; only star walks are minimised.  A
+    reversal walk of a machine with unreachable states need not be minimal,
+    which is why a first machine is trimmed before it is walked.
     """
     number: dict[Dfa, int] = {}
     op_class: list[int] = []
     rep: list[int] = []
-    for c, key in enumerate(lang_keys):
-        walk = first_component(key, op).dfa
+    for c, machine in enumerate(lang_walked):
+        walk = first_component(machine, op).dfa
         k = number.setdefault(minimize(walk) if op.uses_star else walk, len(number))
         if k == len(rep):
             rep.append(c)
@@ -619,15 +625,20 @@ def _exhaustive_walk(
     n_total = _side_size(n, alphabet)
     m_total = _side_size(m, alphabet)
     sigma = len(alphabet)
-    n_keys, n_first, n_number = _classes(n, alphabet)
+    n_first, n_number = _classes(n, alphabet)
+    n_keys = [minimize(d) for d in n_first]
+    # M's language classes are read only through their first components, so
+    # at m != n they are walked from their first machines, each trimmed as
+    # it is walked, and M's language keys are never built.
     if m == n:
-        m_lang, m_lang_first, m_number = n_keys, n_first, n_number
+        m_walked, m_lang_first, m_number = n_keys, n_first, n_number
     else:
-        m_lang, m_lang_first, m_number = _classes(m, alphabet)
-    m_keys, m_first, m_sized, op_swaps = _op_classes(m_lang, m_lang_first, op)
-    # Only the op classes read M's language keys; at m != n they go now, and
-    # the signatures go once the swap maps exist.
-    del m_lang, m_lang_first
+        m_lang_first, m_number = _classes(m, alphabet)
+        m_walked = map(relabel_canonical, m_lang_first)
+    m_keys, m_first, m_sized, op_swaps = _op_classes(m_walked, m_lang_first, op)
+    # Only the op classes read M's language classes' first machines; at
+    # m != n they go now, and the signatures go once the swap maps exist.
+    del m_walked, m_lang_first
     cells = len(m_keys) * len(n_keys)
     if cells > pair_budget:
         raise BudgetExceeded(cells, pair_budget, "class pairs")
@@ -837,13 +848,16 @@ def search_max(
     pair of classes in exhaustive mode, one per sample in sampled mode.
     Exhaustive mode refuses either side over ``DEFAULT_MACHINE_BUDGET``
     machines first, enumerates each side size once, classes it by language,
-    classes M's language classes by ``op``, and checks the budget before it
-    builds any letter-swap map.  Sampled mode refuses an M whose first
-    component could walk more than ``DEFAULT_MACHINE_BUDGET`` subsets, that
-    is ``2**m``, and an N of more than ``DEFAULT_MACHINE_BUDGET`` states,
-    before it draws any sample.  Over a budget,
-    ``BudgetExceeded`` is raised, and neither ``2**m`` nor the predicted
-    bound is formed.  Exhaustive mode walks a group of w-state M keys and
+    minimises only N's classes, classes M's language classes by ``op``, and
+    checks the budget before it builds any letter-swap map.  At m != n, M's
+    classes are walked from their first machines trimmed to the reachable
+    states, so of M's side only star walks are minimised: a reversal walk
+    of a trimmed machine is minimal already.  Sampled mode refuses an M
+    whose first component could walk more than ``DEFAULT_MACHINE_BUDGET``
+    subsets, that is ``2**m``, and an N of more than
+    ``DEFAULT_MACHINE_BUDGET`` states, before it draws any sample.  Over a
+    budget, ``BudgetExceeded`` is raised, and neither ``2**m`` nor the
+    predicted bound is formed.  Exhaustive mode walks a group of w-state M keys and
     v-state N keys only while its bound can pass the running maximum or tie
     it before the winner: ``(w - 1) * v + 1`` when every M key of the group
     has a start no transition enters or an absorbing sink for the op, and

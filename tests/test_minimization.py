@@ -11,6 +11,7 @@ from sclab import (
     bounded_language_equal,
     combined,
     distinguishing_word,
+    enumerate_dfas,
     equivalence_partition,
     equivalent,
     first_component,
@@ -377,6 +378,27 @@ def test_refine_matches_table_filling_on_link_stressing_shapes():
         machines += [chain(n, {max(n - 2, 0)}), chain(n, {n - 1})]
     for d in machines:
         assert_refine_matches_table_filling(d)
+
+
+@pytest.mark.parametrize("sigma", [1, 2, 3])
+def test_refine_returns_two_singletons_at_once_on_two_states(sigma):
+    # two states of different finality are two singleton blocks, which
+    # cannot split: the early return gives the ids the Hopcroft loop would
+    # give, finals 0 and non-finals 1, whether or not state 1 is reachable
+    for flat in itertools.product(range(2), repeat=2 * sigma):
+        rows = [flat[:sigma], flat[sigma:]]
+        for finals in ([True, False], [False, True]):
+            assert _refine(2, rows, finals) == ([0 if f else 1 for f in finals], 2)
+
+
+def test_minimize_matches_table_filling_on_every_machine_of_at_most_two_states():
+    for sigma in (1, 2, 3):
+        alphabet = Alphabet(("a", "b", "c")[:sigma])
+        for states in (1, 2):
+            machines = []
+            enumerate_dfas(states, alphabet, machines.append)
+            for d in machines:
+                assert minimize(d) == table_filling_minimize(d), d
 
 
 def test_equivalence_partition_ids_are_dense():

@@ -50,6 +50,7 @@ from sclab.witnesses import (
 from conftest import AB, mkdfa, rebuilt, words_upto
 
 A1 = Alphabet(("a",))
+REVERSAL_OPS = [CombinedOp.REVERSAL_UNION, CombinedOp.REVERSAL_INTERSECTION]
 
 
 def test_splitmix64_reference_stream():
@@ -571,6 +572,52 @@ def test_exhaustive_search_measures_at_most_one_pair_per_orbit(op, measured):
     assert report.pairs_measured == measured
 
 
+@pytest.mark.parametrize("m, n", [(3, 2), (2, 3)])
+@pytest.mark.parametrize("op", REVERSAL_OPS)
+def test_one_letter_reversal_searches_at_m_not_n_measure_one_cell(op, m, n):
+    # M's op keys at m != n are reversal walks of trimmed first machines;
+    # an untrimmed one on one letter can have unreachable states, whose
+    # walk is not minimal, and keys that large put more groups above the
+    # maximum: the search then measures 13 cells here instead of 1
+    report = search_max(op, m, n, A1, SearchMode.exhaustive())
+    assert (report.observed_max, report.pairs_measured) == (6, 1)
+
+
+@pytest.mark.parametrize("op", list(CombinedOp))
+def test_exhaustive_search_at_m_not_n_minimises_no_machine_of_m(monkeypatch, op):
+    # at (3,2,2) N's language classes are minimised once each, and of M's
+    # side only the star walks are: no first machine of M reaches minimize,
+    # and a reversal walk of a trimmed first machine is minimal already
+    fed_m = []
+    real_enumerate = oracle.enumerate_dfas
+
+    def tracking(states, alphabet, consumer):
+        def feed(d):
+            if states == 3:
+                fed_m.append(d)
+            consumer(d)
+
+        return real_enumerate(states, alphabet, feed)
+
+    args = []
+
+    def recording(d):
+        args.append(d)
+        return minimize(d)
+
+    monkeypatch.setattr(oracle, "enumerate_dfas", tracking)
+    monkeypatch.setattr(oracle, "minimize", recording)
+    search_max(op, 3, 2, AB, SearchMode.exhaustive())
+    monkeypatch.undo()
+    fed_ids = {id(d) for d in fed_m}
+    assert len(fed_m) == 5_832
+    assert not any(id(d) in fed_ids for d in args)
+    n_classes = len(oracle._classes(2, AB)[0])
+    m_classes = len(oracle._classes(3, AB)[0])
+    walks = m_classes if op.uses_star else 0
+    assert len(args) == n_classes + walks
+
+
 def renamed(d, perm):
     """``d`` with letter ``perm[a]``'s transitions moved to letter ``a``,
     renumbered canonically."""
@@ -934,7 +981,8 @@ def test_signature_classes_match_classing_every_machine_by_minimize(m, sigma):
     # same partition, numbering, first machines and keys as minimising
     # every machine
     alphabet = Alphabet(("a", "b", "c")[:sigma])
-    keys, firsts, number = oracle._classes(m, alphabet)
+    firsts, number = oracle._classes(m, alphabet)
+    keys = [minimize(d) for d in firsts]
     assert (keys, firsts) == classes_by_minimize(m, alphabet)
     assert list(number.values()) == list(range(len(keys)))
     words = oracle._words(m, sigma)
@@ -967,13 +1015,11 @@ def test_signatures_one_letter_shorter_merge_two_languages():
     assert len({signature(d, 1) for d in machines}) < languages
 
 
-@pytest.mark.parametrize("op", list(CombinedOp))
-@pytest.mark.parametrize("m, sigma", [(2, 1), (2, 2), (2, 3), (3, 2)])
-def test_op_classes_match_classing_each_machine_by_op(op, m, sigma):
-    # the M sides of the searches at (2,2,σ=1-3), (3,2,2), (2,3,2) and
-    # (3,3,2): classing language classes by op equals classing every
-    # machine by the minimal DFA of its first component, built here
-    # straight from the enumeration
+def assert_op_classes_match_classing_each_machine_by_op(op, m, sigma, walked):
+    """Classing the language classes of ``m``-state machines by ``op``,
+    walking ``walked(first machine)`` per class, equals classing every
+    machine by the minimal DFA of its first component, built here straight
+    from the enumeration: keys, first machines, size groups and swap maps."""
     alphabet = Alphabet(("a", "b", "c")[:sigma])
     first = {}
     count = enumerate_dfas(
@@ -983,8 +1029,9 @@ def test_op_classes_match_classing_each_machine_by_op(op, m, sigma):
     sized = {}
     for c, key in enumerate(keys):
         sized.setdefault(key.state_count, []).append(c)
-    lang_keys, lang_first, number = oracle._classes(m, alphabet)
-    op_keys, op_first, op_sized, op_swaps = oracle._op_classes(lang_keys, lang_first, op)
+    lang_first, number = oracle._classes(m, alphabet)
+    machines = [walked(d) for d in lang_first]
+    op_keys, op_first, op_sized, op_swaps = oracle._op_classes(machines, lang_first, op)
     assert count == dfa_space_size(m, alphabet)
     assert op_keys == keys
     assert op_first == list(first.values())
@@ -993,7 +1040,26 @@ def test_op_classes_match_classing_each_machine_by_op(op, m, sigma):
     assert op_swaps(lang_swaps) == swaps_by_relabeling(keys)
 
 
-REVERSAL_OPS = [CombinedOp.REVERSAL_UNION, CombinedOp.REVERSAL_INTERSECTION]
+@pytest.mark.parametrize("op", list(CombinedOp))
+@pytest.mark.parametrize("m, sigma", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_op_classes_match_classing_each_machine_by_op(op, m, sigma):
+    # the M sides of the searches at (2,2,σ=1-3) and (3,3,2), where M's
+    # classes are walked from N's language keys
+    assert_op_classes_match_classing_each_machine_by_op(op, m, sigma, minimize)
+
+
+@pytest.mark.parametrize("op", list(CombinedOp))
+@pytest.mark.parametrize("m, sigma", [(3, 1), (3, 2), (2, 1), (2, 2)])
+def test_op_classes_from_trimmed_first_machines_match_classing_each_machine_by_op(
+    op, m, sigma
+):
+    # the M sides of the searches at (3,2,1), (3,2,2), (2,3,1) and (2,3,2),
+    # where M's classes are walked from their first machines trimmed to the
+    # reachable states; at σ = 1 some first machines have unreachable
+    # states, whose untrimmed reversal walks are not minimal
+    assert_op_classes_match_classing_each_machine_by_op(
+        op, m, sigma, relabel_canonical
+    )
 
 
 @pytest.mark.parametrize(
@@ -1001,14 +1067,17 @@ REVERSAL_OPS = [CombinedOp.REVERSAL_UNION, CombinedOp.REVERSAL_INTERSECTION]
 )
 def test_reversal_walks_of_language_keys_are_minimal(m, sigma):
     # Brzozowski's lemma: the subset walk of the reverse of an accessible
-    # DFA is minimal.  Language keys have no unreachable state, so
-    # _op_classes takes their reversal walks as op keys without minimising
+    # DFA is minimal.  Language keys and trimmed first machines have no
+    # unreachable state, so _op_classes takes their reversal walks as op
+    # keys without minimising, and both give a class the same op key
     alphabet = Alphabet(("a", "b", "c")[:sigma])
-    keys, _, _ = oracle._classes(m, alphabet)
-    for key in keys:
+    firsts, _ = oracle._classes(m, alphabet)
+    for first in firsts:
+        key, trimmed = minimize(first), relabel_canonical(first)
         for op in REVERSAL_OPS:
             walk = first_component(key, op).dfa
             assert minimize(walk) == walk, (key, op)
+            assert first_component(trimmed, op).dfa == walk, (first, op)
 
 
 def test_reversal_walks_need_not_be_minimal_with_unreachable_states():
@@ -1082,8 +1151,9 @@ def test_group_bound_holds_on_every_cell(op, m, n, sigma):
     # exactly when no edge enters its start or it has an absorbing sink
     alphabet = Alphabet(("a", "b", "c")[:sigma])
     mode = op.boolean_mode
-    n_keys = oracle._classes(n, alphabet)[0]
-    m_keys = oracle._op_classes(*oracle._classes(m, alphabet)[:2], op)[0]
+    n_keys = [minimize(d) for d in oracle._classes(n, alphabet)[0]]
+    m_first = oracle._classes(m, alphabet)[0]
+    m_keys = oracle._op_classes([minimize(d) for d in m_first], m_first, op)[0]
     for km in m_keys:
         entered, sink = walk_shape(km, op)
         assert oracle._collapses(km, mode) == (not entered or sink), km
